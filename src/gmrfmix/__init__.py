@@ -29,7 +29,7 @@ from .mle import (
     gradient,
     neg_log_likelihood,
 )
-from .glasso import GlassoConfig, GlassoResult, debias, glasso_solve
+from .glasso import GlassoConfig, GlassoResult, debias, glasso_solve, refit
 from .mixture import (
     BaselineEstimator,
     DebiasedEstimator,

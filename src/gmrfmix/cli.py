@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import GmrfError
 from .evaluation import bias_report, nmi, save_eigenvalue_csv, vi
-from .glasso import GlassoConfig, debias, glasso_solve
+from .glasso import GlassoConfig, glasso_solve, refit
 from .matrices import SparseSpd, SupportPattern, load_dense_csv, write_atomic_text
 from .mixture import (
     BaselineEstimator,
@@ -167,7 +167,7 @@ def cmd_eval(args) -> int:
     t0 = time.monotonic()
     model = MixtureModel.load(args.model)
     data = load_dense_csv(args.data)
-    labels = np.loadtxt(args.labels, dtype=int)
+    labels = np.loadtxt(args.labels, dtype=int, ndmin=1)
     if labels.shape[0] != data.shape[0]:
         raise UsageError(
             f"labels length {labels.shape[0]} differs from data rows {data.shape[0]}"
@@ -191,23 +191,34 @@ def cmd_eval(args) -> int:
 # bias-report
 
 
+def _load_truth(path: str) -> SparseSpd:
+    """One precision from a SparseSpd JSON object or a one-element list of them."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if isinstance(obj, list) and len(obj) == 1:
+        obj = obj[0]
+    try:
+        return SparseSpd.from_json(obj)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise UsageError(f"--truth {path} must hold exactly one precision") from exc
+
+
 def cmd_bias_report(args) -> int:
     t0 = time.monotonic()
-    q_true = SparseSpd.load(args.truth)
+    q_true = _load_truth(args.truth)
     data = load_dense_csv(args.data)
     s = _empirical_cov(data)
     names = [e.strip() for e in args.estimators.split(",") if e.strip()]
     estimates = {}
     gcfg = GlassoConfig(lam=args.lam)
-    glasso_q = None
+    lasso = None  # one glasso solve serves both "glasso" and "debiased"
     for name in names:
         if name == "known-support":
             estimates[name] = estimate_known_support(s, q_true.pattern).q
-        elif name == "glasso":
-            glasso_q = glasso_solve(s, gcfg).q
-            estimates[name] = glasso_q
-        elif name == "debiased":
-            estimates[name] = debias(s, gcfg).q
+        elif name in ("glasso", "debiased"):
+            if lasso is None:
+                lasso = glasso_solve(s, gcfg).q
+            estimates[name] = lasso if name == "glasso" else refit(s, lasso).q
         elif name == "baseline":
             estimates[name] = dense_mle(s)
         else:
@@ -245,9 +256,8 @@ def cmd_lambda_sweep(args) -> int:
             continue
         gcfg = GlassoConfig(lam=lam)
         g_res = glasso_solve(s_train, gcfg)
-        d_res = debias(s_train, gcfg)
         rows.append(("glasso", lam, g_res.q, s_test))
-        rows.append(("debiased", lam, d_res.q, s_test))
+        rows.append(("debiased", lam, refit(s_train, g_res.q).q, s_test))
 
     lines = ["estimator,lambda,nnz_per_row,heldout_mean_nll"]
     for name, lam, q, s_t in rows:
@@ -329,6 +339,8 @@ def _apply_config_file(parser, argv):
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise UsageError("--config needs a file path")
     path = argv[idx + 1]
     with open(path) as fh:
         cfg = json.load(fh)
@@ -343,19 +355,17 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (UsageError, ValueError) as exc:
+        # ValueError: a config dataclass rejecting a flag value, or CSV input
+        # that does not parse or holds NaN/Inf
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except GmrfError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, LengthMismatch
-from .matrices import SparseSpd, eigenvalues_sym, write_atomic_text
+from .matrices import SparseSpd, eigenvalues_sym, spd_inverse, write_atomic_text
 
 
 def contingency_table(a, b) -> np.ndarray:
@@ -110,8 +110,7 @@ def kkt_sign_check(q_lam: SparseSpd, s: np.ndarray, lam: float):
     if s.shape[0] != q_lam.n:
         raise DimensionMismatch("dimension mismatch")
     q = q_lam.dense
-    w = np.linalg.inv(q)
-    w = 0.5 * (w + w.T)
+    w = spd_inverse(q_lam)
     off = ~np.eye(q_lam.n, dtype=bool)
     nz = off & (q != 0.0)
 
@@ -152,8 +151,7 @@ def bias_report(
 
     if glasso_name in estimates and lam > 0:
         q = estimates[glasso_name]
-        w = np.linalg.inv(q.dense)
-        w = 0.5 * (w + w.T)
+        w = spd_inverse(q)
         off = ~np.eye(q.n, dtype=bool)
         in_supp = (q.dense != 0.0) & off
         e_mat = (w - s) / lam

@@ -6,7 +6,7 @@ subproblem by cyclic coordinate descent with exact soft-threshold updates,
 and line-searches the penalized objective under an SPD guard.
 
 Debiasing keeps only the support of the lasso estimate and re-solves the
-support-constrained MLE, warm-started at the lasso iterate.
+support-constrained MLE, warm-started at the lasso iterate (`refit`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, LineSearchFailed, NotSpd
-from .matrices import SparseSpd, SupportPattern, check_symmetric, cholesky
+from .matrices import SparseSpd, SupportPattern, check_symmetric, cholesky, spd_inverse
 from .mle import (
     MleConfig,
     MleResult,
@@ -68,18 +68,20 @@ def glasso_objective(q: SparseSpd, s: np.ndarray, cfg: GlassoConfig) -> float:
     return neg_log_likelihood(q, s) + _l1_penalty(q.dense, cfg)
 
 
-def free_set(q: SparseSpd, s: np.ndarray, lam: float) -> SupportPattern:
+def free_set(
+    q: SparseSpd, s: np.ndarray, lam: float, w: np.ndarray | None = None
+) -> SupportPattern:
     """Entries allowed to move in one proximal-Newton iteration.
 
     Current nonzeros of Q plus entries where |S_ij - W_ij| exceeds lambda;
     the diagonal is always included since it is unpenalized and must stay
-    free.
+    free. Pass w = Q^{-1} when it is already at hand.
     """
-    s = check_symmetric(s)
     if s.shape[0] != q.n:
         raise DimensionMismatch("covariance dimension differs from precision")
-    w = np.linalg.inv(q.dense)
-    viol = np.abs(s - 0.5 * (w + w.T)) > lam
+    if w is None:
+        w = spd_inverse(q)
+    viol = np.abs(s - w) > lam
     return SupportPattern.from_mask((q.dense != 0.0) | viol)
 
 
@@ -105,46 +107,56 @@ def lasso_newton_direction(
     an exact soft-threshold update; sweeps stop after lasso_inner_iters or
     when the largest coordinate change falls below sub_tol.
     """
-    s = check_symmetric(s)
     if w is None:
-        w = np.linalg.inv(q.dense)
-        w = 0.5 * (w + w.T)
+        w = spd_inverse(q)
     n = q.n
-    qd = q.dense
     lam = cfg.lam
     rows, cols = free.index_arrays()
-    coords = list(zip(rows.tolist(), cols.tolist()))
+    # Per-coordinate scalars are gathered once into Python floats and the
+    # rows/columns of the rank-one updates are bound once as views: numpy
+    # scalar indexing, not arithmetic, dominated each coordinate update.
+    coords = list(
+        zip(
+            rows.tolist(),
+            cols.tolist(),
+            w[rows, cols].tolist(),
+            s[rows, cols].tolist(),
+            q.dense[rows, cols].tolist(),
+        )
+    )
+    w_diag = np.diag(w).tolist()
+    w_rows = list(w)
 
-    delta = np.zeros((n, n))
+    steps = [0.0] * len(coords)  # the entries of delta on the free set
     u = np.zeros((n, n))  # u = delta @ w, kept in sync by rank-one row updates
-    w_diag = np.diag(w)
+    u_rows, u_cols = list(u), list(u.T)
     for _ in range(cfg.lasso_inner_iters):
         max_change = 0.0
-        for i, j in coords:
+        for k, (i, j, w_ij, s_ij, q_ij) in enumerate(coords):
+            b = s_ij - w_ij + float(w_rows[i].dot(u_cols[j]))
+            c = q_ij + steps[k]
             if i == j:
                 a = w_diag[i] * w_diag[i]
-                b = s[i, i] - w[i, i] + float(w[i] @ u[:, i])
-                c = qd[i, i] + delta[i, i]
                 if cfg.penalize_diagonal:
                     mu = -c + _soft(c - b / a, lam / a)
                 else:
                     mu = -b / a
                 if mu != 0.0:
-                    delta[i, i] += mu
-                    u[i] += mu * w[i]
+                    steps[k] += mu
+                    u_rows[i] += mu * w_rows[i]
             else:
-                a = w[i, j] * w[i, j] + w_diag[i] * w_diag[j]
-                b = s[i, j] - w[i, j] + float(w[i] @ u[:, j])
-                c = qd[i, j] + delta[i, j]
+                a = w_ij * w_ij + w_diag[i] * w_diag[j]
                 mu = -c + _soft(c - b / a, lam / a)
                 if mu != 0.0:
-                    delta[i, j] += mu
-                    delta[j, i] += mu
-                    u[i] += mu * w[j]
-                    u[j] += mu * w[i]
+                    steps[k] += mu
+                    u_rows[i] += mu * w_rows[j]
+                    u_rows[j] += mu * w_rows[i]
             max_change = max(max_change, abs(mu))
         if max_change <= cfg.sub_tol:
             break
+    delta = np.zeros((n, n))
+    delta[rows, cols] = steps
+    delta[cols, rows] = steps
     return delta
 
 
@@ -206,14 +218,13 @@ def glasso_solve(
     converged = False
     iters = 0
     for t in range(cfg.max_newton_iters):
-        w = np.linalg.inv(q)
-        w = 0.5 * (w + w.T)
+        q_spd = SparseSpd(q, SupportPattern.from_matrix(q))
+        w = spd_inverse(q_spd)
         kkt = kkt_residual(q, w, s, cfg)
         if kkt <= cfg.newton_tol:
             converged = True
             break
-        q_spd = SparseSpd(q, SupportPattern.from_matrix(q))
-        free = free_set(q_spd, s, cfg.lam)
+        free = free_set(q_spd, s, cfg.lam, w=w)
         delta = lasso_newton_direction(q_spd, s, free, cfg, w=w)
 
         g = s - w
@@ -244,8 +255,7 @@ def glasso_solve(
     result_q = _prune(q, cfg.prune_eps)
     if converged:
         # recompute against the pruned iterate so the reported residual is honest
-        w = np.linalg.inv(result_q.dense)
-        kkt = kkt_residual(result_q.dense, 0.5 * (w + w.T), s, cfg)
+        kkt = kkt_residual(result_q.dense, spd_inverse(result_q), s, cfg)
     return GlassoResult(
         q=result_q,
         objective_trace=trace,
@@ -255,18 +265,20 @@ def glasso_solve(
     )
 
 
+def refit(s: np.ndarray, q_lasso: SparseSpd, mle_cfg: MleConfig | None = None) -> MleResult:
+    """Second debiasing step on an existing lasso estimate.
+
+    Discards the values of q_lasso, keeps its support, and re-solves the
+    support-constrained MLE warm-started at q_lasso.
+    """
+    return estimate_known_support(s, q_lasso.pattern, q0=q_lasso, cfg=mle_cfg or MleConfig())
+
+
 def debias(
     s: np.ndarray,
     cfg: GlassoConfig,
     mle_cfg: MleConfig | None = None,
     q0: SparseSpd | None = None,
 ) -> MleResult:
-    """Two-step debiased estimate.
-
-    Step 1 runs the graphical lasso; step 2 discards its values, keeps the
-    support, and re-solves the support-constrained MLE warm-started at the
-    lasso iterate.
-    """
-    first = glasso_solve(s, cfg, q0=q0)
-    support = first.q.pattern
-    return estimate_known_support(s, support, q0=first.q, cfg=mle_cfg or MleConfig())
+    """Two-step debiased estimate: the graphical lasso, then `refit` on its support."""
+    return refit(s, glasso_solve(s, cfg, q0=q0).q, mle_cfg)

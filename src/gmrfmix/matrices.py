@@ -31,10 +31,11 @@ def check_symmetric(m: np.ndarray) -> np.ndarray:
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric matrix.
 
-    Raises NotSpd when a pivot is non-positive, which is the SPD oracle
-    used throughout the line searches.
+    Only the lower triangle of m is read, so m must already be symmetric;
+    callers validate at their own entry point. Raises NotSpd when a pivot
+    is non-positive, which is the SPD oracle used throughout the line
+    searches.
     """
-    m = check_symmetric(m)
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -217,15 +218,18 @@ class SparseSpd:
 
 
 def spd_inverse(q: SparseSpd) -> np.ndarray:
-    """Dense inverse of a pattern-sparse SPD matrix via its Cholesky factor."""
+    """Dense inverse of a pattern-sparse SPD matrix, symmetrized.
+
+    Computed by LU inversion of q.dense (np.linalg.inv); the average with
+    its transpose removes the rounding asymmetry.
+    """
     inv = np.linalg.inv(q.dense)
     return 0.5 * (inv + inv.T)
 
 
 def project_to_pattern(m: np.ndarray, pattern: SupportPattern) -> np.ndarray:
     """Zero every entry of m outside the pattern."""
-    m = check_symmetric(m)
-    if m.shape[0] != pattern.n:
+    if m.shape != (pattern.n, pattern.n):
         raise DimensionMismatch("matrix dimension differs from pattern")
     return np.where(pattern.mask(), m, 0.0)
 
@@ -240,7 +244,10 @@ def save_dense_csv(m: np.ndarray, path: str) -> None:
 
 
 def load_dense_csv(path: str) -> np.ndarray:
+    """Load a comma-separated 2-d array; ValueError names the file on NaN or Inf."""
     m = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path} contains NaN or Inf values")
     return m
 
 

@@ -63,7 +63,6 @@ def pattern_trace(a: np.ndarray, b: np.ndarray) -> float:
 
 def neg_log_likelihood(q: SparseSpd, s: np.ndarray) -> float:
     """-log det Q + tr(Q S), the trace taken over the pattern entries only."""
-    s = check_symmetric(s)
     if s.shape[0] != q.n:
         raise DimensionMismatch("covariance dimension differs from precision")
     vals = q.values()
@@ -113,7 +112,6 @@ def hessian_apply(
 
     The n^2 x n^2 Hessian W (x) W is never materialized.
     """
-    w = check_symmetric(w)
     if w.shape[0] != pattern.n or delta.shape != w.shape:
         raise DimensionMismatch("operand dimensions differ")
     wdw = w @ delta @ w
@@ -129,7 +127,6 @@ def precond_weights(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
     dense matrix (entries outside the pattern are set to 1 so division is
     always safe).
     """
-    w = check_symmetric(w)
     d = np.diag(w)
     m = np.outer(d, d) + w * w
     np.fill_diagonal(m, d * d)
@@ -165,8 +162,7 @@ def proj_pcg(
     p = z.copy()
     rz = pattern_trace(r, z)
     for _ in range(cfg.max_pcg_iters):
-        wpw = w @ p @ w
-        ap = project_to_pattern(0.5 * (wpw + wpw.T), pattern)
+        ap = hessian_apply(w, p, pattern)
         p_ap = pattern_trace(p, ap)
         if p_ap <= 0.0:
             break  # numerical loss of positive-definiteness; keep current x

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import gmrfmix.cli
 from gmrfmix.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from gmrfmix.matrices import load_dense_csv
 from gmrfmix.mixture import MixtureModel
@@ -11,6 +12,23 @@ from gmrfmix.mixture import MixtureModel
 
 def run(*argv):
     return main(list(argv))
+
+
+def generate_lattice(tmp_path, rows=3, cols=3, samples=400, seed=2):
+    out = tmp_path / "lap"
+    assert run(
+        "generate", "--kind", "laplacian2d", "--rows", str(rows), "--cols", str(cols),
+        "--samples", str(samples), "--seed", str(seed), "--out-dir", str(out),
+    ) == EXIT_OK
+    return out
+
+
+def assert_one_line_usage_error(code, capsys):
+    """Exit code 2 with a single stderr line and no traceback; returns that line."""
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    return err
 
 
 def generate_mixture(tmp_path, k=2, rows=2, cols=2, lo=30, hi=40, seed=0):
@@ -161,6 +179,52 @@ class TestFitAndEval:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k", "0", "--estimator", "baseline"],
+            ["--k", "1", "--estimator", "glasso", "--lambda", "-1"],
+        ],
+        ids=["k0", "negative-lambda"],
+    )
+    def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, flags):
+        out = generate_mixture(tmp_path)
+        capsys.readouterr()
+        code = run(
+            "fit", "--data", str(out / "data.csv"), *flags, "--out", str(tmp_path / "m.json")
+        )
+        assert_one_line_usage_error(code, capsys)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_data_is_usage_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.0,2.0\n{bad},0.5\n3.0,1.0\n")
+        code = run(
+            "fit", "--data", str(path), "--k", "1", "--estimator", "baseline",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert str(path) in assert_one_line_usage_error(code, capsys)
+
+    def test_eval_one_row(self, tmp_path):
+        out = generate_mixture(tmp_path)
+        model_path = tmp_path / "model.json"
+        assert run(
+            "fit", "--data", str(out / "data.csv"), "--k", "2",
+            "--estimator", "baseline", "--zero-means", "--out", str(model_path),
+        ) == EXIT_OK
+        row = load_dense_csv(str(out / "data.csv"))[:1]
+        data_path = tmp_path / "one.csv"
+        np.savetxt(str(data_path), row, delimiter=",", fmt="%.17g")
+        labels_path = tmp_path / "one_labels.csv"
+        labels_path.write_text("0\n")
+        metrics_path = tmp_path / "m1.json"
+        code = run(
+            "eval", "--model", str(model_path), "--data", str(data_path),
+            "--labels", str(labels_path), "--out", str(metrics_path),
+        )
+        assert code == EXIT_OK
+        assert sum(json.loads(metrics_path.read_text())["component_counts"]) == 1
+
     def test_missing_data_file_is_io_error(self, tmp_path):
         code = run(
             "fit", "--data", str(tmp_path / "nope.csv"), "--k", "1",
@@ -196,6 +260,54 @@ class TestBiasReport:
         eigs_csv = (out_dir / "eigenvalues.csv").read_text().splitlines()
         assert len(eigs_csv) == 1 + 9  # header + one row per eigenvalue
         assert (out_dir / "manifest-bias-report.json").exists()
+
+    def test_truth_json_from_generate(self, tmp_path):
+        data_dir = generate_lattice(tmp_path)
+        out_dir = tmp_path / "report"
+        code = run(
+            "bias-report", "--truth", str(data_dir / "truth.json"),
+            "--data", str(data_dir / "data.csv"), "--lambda", "0.1",
+            "--estimators", "known-support", "--out-dir", str(out_dir),
+        )
+        assert code == EXIT_OK
+        report = json.loads((out_dir / "bias_report.json").read_text())
+        assert len(report["eigenvalues"]["truth"]) == 9
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda t: [], lambda t: [t, t], lambda t: 3, lambda t: {"n": t["n"]}],
+        ids=["empty-list", "two-precisions", "number", "no-triplets"],
+    )
+    def test_truth_of_other_shape_is_usage_error(self, tmp_path, capsys, make):
+        data_dir = generate_lattice(tmp_path, rows=2, cols=2, samples=50)
+        single = json.loads((data_dir / "truth.json").read_text())[0]
+        truth_path = tmp_path / "t.json"
+        truth_path.write_text(json.dumps(make(single)))
+        capsys.readouterr()
+        code = run(
+            "bias-report", "--truth", str(truth_path),
+            "--data", str(data_dir / "data.csv"), "--lambda", "0.1",
+            "--estimators", "known-support", "--out-dir", str(tmp_path / "r"),
+        )
+        assert_one_line_usage_error(code, capsys)
+
+    def test_glasso_solved_once_for_glasso_and_debiased(self, tmp_path, monkeypatch):
+        data_dir = generate_lattice(tmp_path)
+        calls = []
+        solve = gmrfmix.cli.glasso_solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(gmrfmix.cli, "glasso_solve", counting_solve)
+        code = run(
+            "bias-report", "--truth", str(data_dir / "truth.json"),
+            "--data", str(data_dir / "data.csv"), "--lambda", "0.1",
+            "--estimators", "glasso,debiased", "--out-dir", str(tmp_path / "r"),
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_unknown_estimator_is_usage_error(self, tmp_path):
         data_dir = tmp_path / "lap"
@@ -272,6 +384,9 @@ class TestConfigFile:
         )
         assert code == EXIT_OK
         assert load_dense_csv(str(out2 / "data.csv")).shape == (3, 4)
+
+    def test_config_as_last_argument_is_usage_error(self, capsys):
+        assert_one_line_usage_error(run("--config"), capsys)
 
     def test_missing_config_is_io_error(self, tmp_path):
         code = run(

@@ -9,9 +9,17 @@ from gmrfmix.glasso import (
     glasso_solve,
     kkt_residual,
     lasso_newton_direction,
+    refit,
 )
+from gmrfmix.errors import DimensionMismatch
 from gmrfmix.matrices import SparseSpd, SupportPattern, spd_inverse
-from gmrfmix.mle import MleConfig, neg_log_likelihood, proj_pcg
+from gmrfmix.mle import (
+    MleConfig,
+    dense_mle,
+    estimate_known_support,
+    neg_log_likelihood,
+    proj_pcg,
+)
 
 from test_mle import random_sparse_spd
 
@@ -61,6 +69,12 @@ class TestFreeSet:
         q = SparseSpd(m)
         f = free_set(q, np.eye(3), lam=100.0)
         assert (0, 2) in f
+
+    def test_given_inverse_gives_same_set(self):
+        rng = np.random.default_rng(15)
+        q = random_sparse_spd(6, rng)
+        s = random_cov(6, rng)
+        assert free_set(q, s, 0.2, w=spd_inverse(q)) == free_set(q, s, 0.2)
 
 
 class TestLassoDirection:
@@ -223,3 +237,29 @@ class TestDebias:
         g = glasso_solve(s_train, cfg)
         d = debias(s_train, cfg)
         assert neg_log_likelihood(d.q, s_test) <= neg_log_likelihood(g.q, s_test)
+
+    def test_refit_of_lasso_equals_debias(self):
+        rng = np.random.default_rng(13)
+        s = random_cov(6, rng)
+        cfg = GlassoConfig(lam=0.1)
+        res = refit(s, glasso_solve(s, cfg).q)
+        deb = debias(s, cfg)
+        assert np.array_equal(res.q.dense, deb.q.dense)
+        assert res.objective_trace == deb.objective_trace
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda s: estimate_known_support(s, SupportPattern.full(s.shape[0])),
+        lambda s: glasso_solve(s, GlassoConfig(lam=0.1)),
+        dense_mle,
+        lambda s: debias(s, GlassoConfig(lam=0.1)),
+    ],
+    ids=["estimate_known_support", "glasso_solve", "dense_mle", "debias"],
+)
+def test_entry_points_reject_asymmetric_covariance(solve):
+    s = random_cov(4, np.random.default_rng(14))
+    s[0, 1] += 1e-3
+    with pytest.raises(DimensionMismatch):
+        solve(s)
