@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import GmrfError
+from .errors import DimensionMismatch, GmrfError
 from .evaluation import bias_report, nmi, save_eigenvalue_csv, vi
 from .glasso import GlassoConfig, glasso_solve, refit
 from .matrices import SparseSpd, SupportPattern, load_dense_csv, write_atomic_text
@@ -118,7 +118,28 @@ def cmd_generate(args) -> int:
 # fit
 
 
-def _build_estimator(args):
+def _load_support(path: str, n: int, k: int) -> list[SupportPattern]:
+    """Patterns from a SparseSpd JSON object or a list of them (one, or one per component)."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    objs = obj if isinstance(obj, list) else [obj]
+    try:
+        patterns = [
+            SupportPattern(o["n"], [(i, j) for i, j, _ in o["triplets"]]) for o in objs
+        ]
+    except KeyError as exc:
+        raise UsageError(f"--support {path}: missing key {exc}") from exc
+    except (TypeError, ValueError, DimensionMismatch) as exc:
+        raise UsageError(f"--support {path}: {exc}") from exc
+    if not patterns or 1 < len(patterns) < k:
+        raise UsageError(f"--support {path}: need 1 pattern or at least {k}, got {len(patterns)}")
+    for pattern in patterns:
+        if pattern.n != n:
+            raise UsageError(f"--support {path}: pattern n={pattern.n} but data has {n} columns")
+    return patterns
+
+
+def _build_estimator(args, n: int):
     if args.estimator == "baseline":
         return BaselineEstimator()
     if args.estimator in ("glasso", "debiased"):
@@ -131,13 +152,7 @@ def _build_estimator(args):
     if args.estimator == "known-support":
         if args.support is None:
             raise UsageError("--support (pattern JSON) is required for known-support")
-        with open(args.support) as fh:
-            obj = json.load(fh)
-        objs = obj if isinstance(obj, list) else [obj]
-        patterns = [
-            SupportPattern(o["n"], [(i, j) for i, j, _ in o["triplets"]]) for o in objs
-        ]
-        return KnownSupportEstimator(patterns, MleConfig())
+        return KnownSupportEstimator(_load_support(args.support, n, args.k), MleConfig())
     raise UsageError(f"unknown --estimator {args.estimator!r}")
 
 
@@ -145,7 +160,7 @@ def cmd_fit(args) -> int:
     t0 = time.monotonic()
     data = load_dense_csv(args.data)
     cfg = EmConfig(
-        estimator=_build_estimator(args),
+        estimator=_build_estimator(args, data.shape[1]),
         k=args.k,
         fix_means_to_zero=args.zero_means,
     )
@@ -154,7 +169,7 @@ def cmd_fit(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     model.save(args.out)
     trace_path = os.path.splitext(args.out)[0] + "_ll_trace.csv"
-    np.savetxt(trace_path, np.asarray(ll_trace), fmt="%.17g")
+    write_atomic_text(trace_path, "".join(f"{v:.17g}\n" for v in ll_trace))
     _write_manifest(out_dir, "fit", vars(args), time.monotonic() - t0)
     return EXIT_OK
 
@@ -274,12 +289,27 @@ def cmd_lambda_sweep(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _CommandParser(argparse.ArgumentParser):
+    """Subcommand parser that records the dest of each flag a config file may set."""
+
+    def __init__(self, *args, **kwargs):
+        self.dests = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:  # not --help
+            self.dests.add(action.dest)
+        return action
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
+    """The gmrfmix parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="gmrfmix", description="GMRF mixture estimation pipelines"
     )
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     g = sub.add_parser("generate", help="generate a synthetic dataset")
     g.add_argument("--kind", required=True, choices=["laplacian2d", "diffusion-mixture"])
@@ -331,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("--out", default="lambda_sweep.csv")
     l.set_defaults(func=cmd_lambda_sweep)
-    return parser
+    return parser, {"generate": g, "fit": f, "eval": e, "bias-report": b, "lambda-sweep": l}
 
 
-def _apply_config_file(parser, argv):
-    """Pre-parse --config and inject its values as parser defaults."""
+def _apply_config_file(commands, argv):
+    """Pre-parse --config and inject its values as defaults of the subcommands with that flag."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -344,16 +374,24 @@ def _apply_config_file(parser, argv):
     path = argv[idx + 1]
     with open(path) as fh:
         cfg = json.load(fh)
-    for action in parser._subparsers._group_actions[0].choices.values():
-        action.set_defaults(**{k.replace("-", "_"): v for k, v in cfg.items()})
+    if not isinstance(cfg, dict):
+        raise UsageError(f"--config {path} must hold a JSON object")
+    defaults = {}
+    for key, value in cfg.items():
+        dest = key.replace("-", "_")
+        if not any(dest in p.dests for p in commands.values()):
+            raise UsageError(f"unknown config key {key!r}")
+        defaults[dest] = value
+    for p in commands.values():
+        p.set_defaults(**{k: v for k, v in defaults.items() if k in p.dests})
     return argv[:idx] + argv[idx + 2 :]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

@@ -218,7 +218,7 @@ def glasso_solve(
     converged = False
     iters = 0
     for t in range(cfg.max_newton_iters):
-        q_spd = SparseSpd(q, SupportPattern.from_matrix(q))
+        q_spd = SparseSpd(q, SupportPattern.from_mask(q != 0.0))  # SparseSpd checks q
         w = spd_inverse(q_spd)
         kkt = kkt_residual(q, w, s, cfg)
         if kkt <= cfg.newton_tol:

@@ -7,8 +7,11 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import uuid
 
 import numpy as np
 
@@ -45,27 +48,39 @@ def cholesky(m: np.ndarray) -> np.ndarray:
 class SupportPattern:
     """Symmetric set of allowed nonzero index pairs; the diagonal is always included.
 
-    Pairs are normalized to (i, j) with i <= j. Instances are immutable.
+    Stored as two read-only views of the same set, both built once at
+    construction: the symmetric boolean n x n mask (diagonal set) and the
+    (rows, cols) index arrays of its upper triangle (i <= j) in row-major
+    order. Instances are immutable.
     """
 
     def __init__(self, n: int, pairs=()):
         if n < 1:
             raise DimensionMismatch("pattern dimension must be >= 1")
-        self.n = int(n)
-        norm = set()
-        for i, j in pairs:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise DimensionMismatch(f"pair ({i},{j}) out of range for n={n}")
-            norm.add((min(i, j), max(i, j)))
-        norm.update((i, i) for i in range(self.n))
-        self.pairs = frozenset(norm)
-        self._mask = None
-        self._index_arrays = None
+        n = int(n)
+        ij = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp)
+        ij = ij.reshape(len(ij), 2)
+        bad = np.any((ij < 0) | (ij >= n), axis=1)
+        if bad.any():
+            i, j = ij[np.argmax(bad)]
+            raise DimensionMismatch(f"pair ({i},{j}) out of range for n={n}")
+        mask = np.eye(n, dtype=bool)
+        mask[ij[:, 0], ij[:, 1]] = True
+        mask[ij[:, 1], ij[:, 0]] = True
+        self._store(mask)
+
+    def _store(self, mask: np.ndarray) -> None:
+        """Keep a symmetric mask with its diagonal set, and its upper-triangle indices."""
+        self.n = mask.shape[0]
+        # divmod of flat indices gives contiguous arrays (np.nonzero's are strided views)
+        self._rows, self._cols = np.divmod(np.flatnonzero(np.triu(mask)), self.n)
+        for a in (mask, self._rows, self._cols):
+            a.setflags(write=False)
+        self._mask = mask
 
     @classmethod
     def full(cls, n: int) -> "SupportPattern":
-        return cls(n, [(i, j) for i in range(n) for j in range(i, n)])
+        return cls.from_mask(np.ones((n, n), dtype=bool))
 
     @classmethod
     def diagonal(cls, n: int) -> "SupportPattern":
@@ -73,10 +88,13 @@ class SupportPattern:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "SupportPattern":
+        """Pattern of mask | mask.T plus the diagonal."""
         mask = np.asarray(mask, dtype=bool)
-        mask = mask | mask.T
-        ii, jj = np.nonzero(np.triu(mask))
-        return cls(mask.shape[0], zip(ii.tolist(), jj.tolist()))
+        if mask.ndim != 2 or mask.shape[0] != mask.shape[1] or mask.shape[0] < 1:
+            raise DimensionMismatch(f"expected a non-empty square mask, got shape {mask.shape}")
+        pattern = cls.__new__(cls)
+        pattern._store(mask | mask.T | np.eye(mask.shape[0], dtype=bool))
+        return pattern
 
     @classmethod
     def from_matrix(cls, m: np.ndarray, eps: float = 0.0) -> "SupportPattern":
@@ -85,69 +103,51 @@ class SupportPattern:
         return cls.from_mask(np.abs(m) > eps)
 
     def mask(self) -> np.ndarray:
-        """Boolean n x n mask (symmetric); cached."""
-        if self._mask is None:
-            mask = np.zeros((self.n, self.n), dtype=bool)
-            for i, j in self.pairs:
-                mask[i, j] = True
-                mask[j, i] = True
-            mask.setflags(write=False)
-            self._mask = mask
+        """Boolean n x n mask (symmetric, diagonal set); read-only."""
         return self._mask
 
     def index_arrays(self):
-        """(rows, cols) index arrays over the pairs (i <= j), sorted; cached."""
-        if self._index_arrays is None:
-            pairs = sorted(self.pairs)
-            rows = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=len(pairs))
-            cols = np.fromiter((p[1] for p in pairs), dtype=np.intp, count=len(pairs))
-            rows.setflags(write=False)
-            cols.setflags(write=False)
-            self._index_arrays = (rows, cols)
-        return self._index_arrays
-
-    def union(self, other: "SupportPattern") -> "SupportPattern":
-        if other.n != self.n:
-            raise DimensionMismatch("pattern dimensions differ")
-        return SupportPattern(self.n, self.pairs | other.pairs)
+        """(rows, cols) index arrays over the pairs (i <= j), in row-major order; read-only."""
+        return self._rows, self._cols
 
     def issubset(self, other: "SupportPattern") -> bool:
-        return self.n == other.n and self.pairs <= other.pairs
+        return self.n == other.n and not np.any(self._mask & ~other._mask)
 
     def __contains__(self, pair) -> bool:
         i, j = pair
-        return (min(i, j), max(i, j)) in self.pairs
+        return 0 <= i < self.n and 0 <= j < self.n and bool(self._mask[i, j])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SupportPattern)
             and self.n == other.n
-            and self.pairs == other.pairs
+            and np.array_equal(self._mask, other._mask)
         )
 
     def __hash__(self):
-        return hash((self.n, self.pairs))
+        return hash((self.n, self._mask.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._rows)
 
     def __repr__(self):
-        return f"SupportPattern(n={self.n}, pairs={len(self.pairs)})"
+        return f"SupportPattern(n={self.n}, pairs={len(self)})"
 
 
 class SparseSpd:
     """Symmetric positive-definite matrix stored on a SupportPattern.
 
     The Cholesky factor and log-determinant are computed once at
-    construction, so likelihood evaluations stay O(n^2) per data point.
-    Construction fails with NotSpd when the matrix is not positive-definite.
+    construction; `quad_form` gathers the pattern entries, so it costs
+    O(|pattern|) per data point. Construction fails with NotSpd when the
+    matrix is not positive-definite.
     """
 
     def __init__(self, matrix: np.ndarray, pattern: SupportPattern | None = None):
         matrix = check_symmetric(matrix)
         n = matrix.shape[0]
         if pattern is None:
-            pattern = SupportPattern.from_matrix(matrix)
+            pattern = SupportPattern.from_mask(matrix != 0.0)
         if pattern.n != n:
             raise DimensionMismatch("pattern dimension differs from matrix")
         off = matrix[~pattern.mask()]
@@ -189,27 +189,24 @@ class SparseSpd:
         return float(out[0]) if single else out
 
     def to_json(self) -> dict:
-        trips = [
-            [int(i), int(j), float(self._dense[i, j])]
-            for i, j in sorted(self.pattern.pairs)
-        ]
-        return {"n": self.n, "triplets": trips}
+        """{"n": n, "triplets": [[i, j, value], ...]} over the pattern pairs (i <= j)."""
+        fields = (self.pair_rows.tolist(), self.pair_cols.tolist(), self.values().tolist())
+        return {"n": self.n, "triplets": list(map(list, zip(*fields)))}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SparseSpd":
         n = int(obj["n"])
+        trips = np.array(obj["triplets"], dtype=np.float64)
+        trips = trips.reshape(len(trips), 3)
+        ij = trips[:, :2].astype(np.intp)
+        pattern = SupportPattern(n, ij)
+        lo, hi = ij.min(axis=1), ij.max(axis=1)
         m = np.zeros((n, n))
-        pairs = []
-        for i, j, v in obj["triplets"]:
-            i, j = int(i), int(j)
-            m[i, j] = v
-            m[j, i] = v
-            pairs.append((i, j))
-        return cls(m, SupportPattern(n, pairs))
+        m[lo, hi] = m[hi, lo] = trips[:, 2]
+        return cls(m, pattern)
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
+        write_atomic_text(path, json.dumps(self.to_json()))
 
     @classmethod
     def load(cls, path: str) -> "SparseSpd":
@@ -240,7 +237,9 @@ def eigenvalues_sym(m: np.ndarray) -> np.ndarray:
 
 
 def save_dense_csv(m: np.ndarray, path: str) -> None:
-    np.savetxt(path, np.asarray(m, dtype=np.float64), delimiter=",", fmt="%.17g")
+    buf = io.StringIO()
+    np.savetxt(buf, np.asarray(m, dtype=np.float64), delimiter=",", fmt="%.17g")
+    write_atomic_text(path, buf.getvalue())
 
 
 def load_dense_csv(path: str) -> np.ndarray:
@@ -252,8 +251,18 @@ def load_dense_csv(path: str) -> np.ndarray:
 
 
 def write_atomic_text(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write text to path via a uniquely named temp file beside it + rename.
+
+    Readers see the old file or the new one, never a partial write, and
+    concurrent writers do not share a temp file. The temp file is removed
+    if the write or the rename fails.
+    """
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -175,7 +175,8 @@ def save_dataset(
     os.makedirs(out_dir, exist_ok=True)
     save_dense_csv(data, os.path.join(out_dir, "data.csv"))
     if labels is not None:
-        np.savetxt(os.path.join(out_dir, "labels.csv"), labels, fmt="%d")
+        text = "".join(f"{v}\n" for v in np.asarray(labels, dtype=int).tolist())
+        write_atomic_text(os.path.join(out_dir, "labels.csv"), text)
     truth = [q.to_json() for q in precisions]
     write_atomic_text(os.path.join(out_dir, "truth.json"), json.dumps(truth))
     write_atomic_text(os.path.join(out_dir, "metadata.json"), json.dumps(metadata))
@@ -187,7 +188,7 @@ def load_dataset(out_dir: str):
     data = np.loadtxt(os.path.join(out_dir, "data.csv"), delimiter=",", ndmin=2)
     labels_path = os.path.join(out_dir, "labels.csv")
     labels = (
-        np.loadtxt(labels_path, dtype=int) if os.path.exists(labels_path) else None
+        np.loadtxt(labels_path, dtype=int, ndmin=1) if os.path.exists(labels_path) else None
     )
     with open(os.path.join(out_dir, "truth.json")) as fh:
         precisions = [SparseSpd.from_json(o) for o in json.load(fh)]

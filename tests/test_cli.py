@@ -164,6 +164,28 @@ class TestFitAndEval:
             loaded["triplets"]
         )
 
+    @pytest.mark.parametrize(
+        "support",
+        [
+            {"n": 4},
+            {"n": 4, "triplets": [[0, 7, 1.0]]},
+            {"n": 3, "triplets": [[0, 1, 1.0]]},
+            [{"n": 4, "triplets": []}] * 3,
+        ],
+        ids=["no-triplets", "pair-out-of-range", "n-differs-from-data", "pattern-count"],
+    )
+    def test_bad_support_is_usage_error(self, tmp_path, capsys, support):
+        out = generate_mixture(tmp_path)  # 2x2 grid: 4 columns
+        support_path = tmp_path / "support.json"
+        support_path.write_text(json.dumps(support))
+        capsys.readouterr()
+        code = run(
+            "fit", "--data", str(out / "data.csv"), "--k", "4",
+            "--estimator", "known-support", "--support", str(support_path),
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert f"--support {support_path}" in assert_one_line_usage_error(code, capsys)
+
     def test_eval_wrong_length_labels_is_usage_error(self, tmp_path):
         out = generate_mixture(tmp_path)
         model_path = tmp_path / "model.json"
@@ -384,6 +406,36 @@ class TestConfigFile:
         )
         assert code == EXIT_OK
         assert load_dense_csv(str(out2 / "data.csv")).shape == (3, 4)
+
+    def test_config_keys_go_to_the_subcommands_that_have_them(self, tmp_path):
+        out = generate_mixture(tmp_path)
+        assert run(
+            "fit", "--data", str(out / "data.csv"), "--k", "2",
+            "--estimator", "baseline", "--out", str(tmp_path / "model.json"),
+        ) == EXIT_OK
+        cfg_path = tmp_path / "cfg.json"
+        metrics = tmp_path / "metrics.json"
+        cfg_path.write_text(json.dumps({"samples": 7, "out": str(metrics)}))
+        assert run(
+            "--config", str(cfg_path), "eval", "--model", str(tmp_path / "model.json"),
+            "--data", str(out / "data.csv"), "--labels", str(out / "labels.csv"),
+        ) == EXIT_OK
+        config = json.loads((tmp_path / "manifest-eval.json").read_text())["config"]
+        assert config["out"] == str(metrics) and metrics.exists()
+        assert "samples" not in config
+
+    @pytest.mark.parametrize("cfg", [{"bogus_key": 1}, {"func": "x"}])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run(
+            "--config", str(cfg_path), "generate", "--kind", "laplacian2d",
+            "--samples", "5", "--out-dir", str(tmp_path / "x"),
+        )
+        key = next(iter(cfg))
+        err = assert_one_line_usage_error(code, capsys)
+        assert err == f"usage error: unknown config key {key!r}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_config_as_last_argument_is_usage_error(self, capsys):
         assert_one_line_usage_error(run("--config"), capsys)

@@ -1,7 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmrfmix.errors import DimensionMismatch, NotSpd
 from gmrfmix.matrices import (
@@ -13,6 +16,7 @@ from gmrfmix.matrices import (
     project_to_pattern,
     save_dense_csv,
     spd_inverse,
+    write_atomic_text,
 )
 
 
@@ -84,6 +88,73 @@ class TestSupportPattern:
     def test_full_and_diagonal(self):
         assert len(SupportPattern.full(4)) == 10
         assert len(SupportPattern.diagonal(4)) == 4
+
+
+@st.composite
+def pair_lists(draw):
+    """(n, list of index pairs) with n <= 12, pairs in either orientation."""
+    n = draw(st.integers(1, 12))
+    idx = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(idx, idx), max_size=3 * n))
+
+
+@st.composite
+def masks(draw):
+    n = draw(st.integers(1, 12))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.array(bits, dtype=bool).reshape(n, n)
+
+
+def pair_set(n, pairs):
+    """The pattern as a Python set of normalized pairs plus the diagonal (reference)."""
+    return {(min(i, j), max(i, j)) for i, j in pairs} | {(i, i) for i in range(n)}
+
+
+class TestSupportPatternProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(pair_lists())
+    def test_index_arrays_are_the_sorted_pair_set(self, case):
+        n, pairs = case
+        rows, cols = SupportPattern(n, pairs).index_arrays()
+        assert list(zip(rows.tolist(), cols.tolist())) == sorted(pair_set(n, pairs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(masks())
+    def test_from_mask_symmetrizes_and_sets_diagonal(self, m):
+        p = SupportPattern.from_mask(m)
+        assert np.array_equal(p.mask(), m | m.T | np.eye(len(m), dtype=bool))
+        assert p == SupportPattern(len(m), zip(*np.nonzero(m)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_lists(), pair_lists())
+    def test_set_semantics(self, a, b):
+        (n, pa), (nb, pb) = a, b
+        p, ref = SupportPattern(n, pa), pair_set(n, pa)
+        assert len(p) == len(ref)
+        for i in range(-1, n + 1):
+            for j in range(-1, n + 1):
+                assert ((i, j) in p) == ((min(i, j), max(i, j)) in ref)
+        q = SupportPattern(nb, pb)
+        assert p.issubset(q) == (n == nb and ref <= pair_set(nb, pb))
+        grown = SupportPattern(n, pa + [(i, j) for i, j in pb if max(i, j) < n])
+        assert p.issubset(grown) and grown.issubset(p) == (grown == p)
+        assert (p == q) == (n == nb and ref == pair_set(nb, pb))
+        for other in (q, grown, SupportPattern.from_mask(p.mask())):
+            assert p != other or hash(p) == hash(other)
+
+    @settings(max_examples=40, deadline=None)
+    @given(masks(), st.integers(0, 2**32 - 1))
+    def test_sparse_spd_json_roundtrip_is_exact(self, m, seed):
+        rng = np.random.default_rng(seed)
+        p = SupportPattern.from_mask(m)
+        vals = np.where(p.mask(), rng.standard_normal(m.shape), 0.0)
+        vals = 0.5 * (vals + vals.T)
+        n = len(m)
+        q = SparseSpd(vals + np.diag(np.abs(vals).sum(axis=1) + 1.0), p)
+        obj = json.loads(json.dumps(q.to_json()))
+        q2 = SparseSpd.from_json(obj)
+        assert np.array_equal(q2.dense, q.dense) and q2.pattern == q.pattern
+        assert obj["n"] == n and len(obj["triplets"]) == len(p)
 
 
 class TestSparseSpd:
@@ -219,3 +290,17 @@ def test_dense_csv_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
     save_dense_csv(m, str(path))
     assert np.array_equal(load_dense_csv(str(path)), m)
+
+
+def test_failed_atomic_write_keeps_target_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "out.json"
+    write_atomic_text(str(path), "old")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_atomic_text(str(path), "new")
+    assert path.read_text() == "old"
+    assert os.listdir(tmp_path) == ["out.json"]

@@ -229,7 +229,7 @@ class TestArmijoSpd:
 
 def brute_force_constrained_mle(s, pattern, x0_q):
     """Derivative-free minimization over the free pattern entries (oracle)."""
-    pairs = sorted(pattern.pairs)
+    pairs = list(zip(*pattern.index_arrays()))
     n = pattern.n
 
     def unpack(x):

@@ -213,6 +213,11 @@ class TestDatasetIo:
         for qa, qb in zip(precs, precs2):
             assert np.array_equal(qa.dense, qb.dense)
             assert qa.pattern == qb.pattern
+        # one labeled row still loads as a length-1 label vector
+        save_dataset(str(tmp_path / "one"), data[:1], labels[:1], precs, meta)
+        data1, labels1, _, _ = load_dataset(str(tmp_path / "one"))
+        assert data1.shape == (1, data.shape[1])
+        assert labels1.shape == (1,) and labels1[0] == labels[0]
 
     def test_unlabeled_roundtrip(self, tmp_path):
         data, _, precs = make_clustering_dataset(1, DiffusionSpec(2, 2), 5, 5, seed=3)
