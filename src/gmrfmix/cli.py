@@ -290,17 +290,30 @@ def cmd_lambda_sweep(args) -> int:
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """Subcommand parser that records the dest of each flag a config file may set."""
+    """Subcommand parser that records the dest of each flag a config file may set.
+
+    Flags declared required=True are recorded too, not handed to argparse,
+    so that a config file can supply them; `check_required` runs after the
+    merge.
+    """
 
     def __init__(self, *args, **kwargs):
         self.dests = set()
+        self.required = {}  # dest -> flag
         super().__init__(*args, **kwargs)
 
-    def add_argument(self, *args, **kwargs):
+    def add_argument(self, *args, required=False, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if action.default is not argparse.SUPPRESS:  # not --help
             self.dests.add(action.dest)
+        if required:
+            self.required[action.dest] = action.option_strings[0]
         return action
+
+    def check_required(self, args) -> None:
+        for dest, flag in self.required.items():
+            if getattr(args, dest) is None:
+                raise UsageError(f"{flag} is required")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
@@ -393,6 +406,7 @@ def main(argv=None) -> int:
     try:
         argv = _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
+        commands[args.command].check_required(args)
         return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

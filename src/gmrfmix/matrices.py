@@ -137,10 +137,10 @@ class SupportPattern:
 class SparseSpd:
     """Symmetric positive-definite matrix stored on a SupportPattern.
 
-    The Cholesky factor and log-determinant are computed once at
-    construction; `quad_form` gathers the pattern entries, so it costs
-    O(|pattern|) per data point. Construction fails with NotSpd when the
-    matrix is not positive-definite.
+    The lower Cholesky factor L (Q = L L^T) and the log-determinant are
+    computed once at construction; `quad_form` reuses L, so it costs one
+    product with the n x n factor, O(n^2), per data point. Construction
+    fails with NotSpd when the matrix is not positive-definite.
     """
 
     def __init__(self, matrix: np.ndarray, pattern: SupportPattern | None = None):
@@ -159,7 +159,7 @@ class SparseSpd:
         self._dense.setflags(write=False)
         self.chol = cholesky(self._dense)
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-        # index arrays over the pattern (i <= j), used for O(|pattern|) sums
+        # index arrays over the pattern (i <= j): one entry per stored value
         self.pair_rows, self.pair_cols = pattern.index_arrays()
 
     @property
@@ -171,10 +171,10 @@ class SparseSpd:
         return self._dense[self.pair_rows, self.pair_cols]
 
     def quad_form(self, d: np.ndarray) -> np.ndarray:
-        """d^T Q d through the pattern entries only.
+        """d^T Q d as the squared norm of L^T d, from the cached Cholesky factor.
 
-        Accepts a single vector or an (N, n) batch; returns a scalar or an
-        (N,) array.
+        Accepts a single vector or an (N, n) batch; returns a float or an
+        (N,) array. A batch needs one (N, n) temporary, z = d @ L.
         """
         d = np.asarray(d, dtype=np.float64)
         single = d.ndim == 1
@@ -182,10 +182,8 @@ class SparseSpd:
             d = d[None, :]
         if d.shape[1] != self.n:
             raise DimensionMismatch("vector length differs from matrix dimension")
-        v = self.values()
-        prod = d[:, self.pair_rows] * d[:, self.pair_cols] * v
-        doubled = np.where(self.pair_rows != self.pair_cols, 2.0, 1.0)
-        out = prod @ doubled
+        z = d @ self.chol
+        out = np.einsum("ij,ij->i", z, z)
         return float(out[0]) if single else out
 
     def to_json(self) -> dict:

@@ -152,26 +152,26 @@ class EmConfig:
 # EM steps
 
 
+def _log_density(c: GmrfComponent, x: np.ndarray):
+    """0.5 log det Q - (n/2) log 2pi - 0.5 (x-mu)^T Q (x-mu), for a point or
+    an (N, n) batch; the quadratic form comes from Q's Cholesky factor."""
+    q = c.precision
+    return 0.5 * q.log_det - 0.5 * q.n * LOG_2PI - 0.5 * q.quad_form(x - c.mean)
+
+
 def log_pdf(c: GmrfComponent, x: np.ndarray) -> float:
-    """Gaussian log-density via the precision: 0.5 log det Q - (n/2) log 2pi
-    - 0.5 (x-mu)^T Q (x-mu), the quadratic form through the sparse pattern."""
+    """Gaussian log-density of one point via the precision."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (c.precision.n,):
         raise DimensionMismatch("point dimension differs from component")
-    quad = c.precision.quad_form(x - c.mean)
-    return 0.5 * c.precision.log_det - 0.5 * c.precision.n * LOG_2PI - 0.5 * quad
+    return _log_density(c, x)
 
 
-def _component_log_pdfs(model: MixtureModel, data: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of per-component log-densities, vectorized over points."""
+def _weighted_log_pdfs(model: MixtureModel, data: np.ndarray) -> np.ndarray:
+    """(N, K) matrix of log w_k + log p_k(x_i), vectorized over points."""
     out = np.empty((data.shape[0], model.k))
     for k, c in enumerate(model.components):
-        d = data - c.mean
-        out[:, k] = (
-            0.5 * c.precision.log_det
-            - 0.5 * model.n * LOG_2PI
-            - 0.5 * c.precision.quad_form(d)
-        )
+        out[:, k] = _log_density(c, data) + np.log(c.weight)
     return out
 
 
@@ -180,8 +180,7 @@ def e_step(model: MixtureModel, data: np.ndarray):
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != model.n:
         raise DimensionMismatch("data dimension differs from model")
-    log_p = _component_log_pdfs(model, data)
-    log_w = log_p + np.log([c.weight for c in model.components])
+    log_w = _weighted_log_pdfs(model, data)
     row_max = np.max(log_w, axis=1, keepdims=True)
     shifted = np.exp(log_w - row_max)
     row_sum = np.sum(shifted, axis=1, keepdims=True)
@@ -279,8 +278,10 @@ def fit_em(data: np.ndarray, cfg: EmConfig, seed: int = 0, init_resp=None):
 
     Returns (model, ll_trace, responsibilities). Components whose weight
     mass collapses are reseeded from the lowest-likelihood points rather
-    than failing the run. init_resp overrides the seeded initialization
-    with an explicit (N, K) responsibility matrix.
+    than failing the run; if the reseeded M-step still finds an empty
+    component, EmptyComponent names the reseeded components and the EM
+    iteration (counted from 1). init_resp overrides the seeded
+    initialization with an explicit (N, K) responsibility matrix.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -301,19 +302,24 @@ def fit_em(data: np.ndarray, cfg: EmConfig, seed: int = 0, init_resp=None):
     model = None
     ll_trace: list[float] = []
     prev_ll = None
-    for _ in range(cfg.max_em_iters):
+    for it in range(1, cfg.max_em_iters + 1):
         try:
             model = m_step(data, w, cfg, prev=model)
         except EmptyComponent:
             if model is None:
                 raise DegenerateInit("initialization produced an empty component")
-            log_p = _component_log_pdfs(model, data)
-            log_w = log_p + np.log([c.weight for c in model.components])
-            point_ll = np.logaddexp.reduce(log_w, axis=1)
+            point_ll = np.logaddexp.reduce(_weighted_log_pdfs(model, data), axis=1)
             col = w.sum(axis=0)
-            for k in np.nonzero(col < cfg.min_component_weight * data.shape[0])[0]:
+            starved = np.nonzero(col <= cfg.min_component_weight * data.shape[0])[0]
+            for k in starved:
                 w = _reseed_component(w, int(k), point_ll, model.n)
-            model = m_step(data, w, cfg, prev=model)
+            try:
+                model = m_step(data, w, cfg, prev=model)
+            except EmptyComponent as exc:
+                names = ", ".join(map(str, starved))
+                raise EmptyComponent(
+                    f"EM iteration {it}: reseeding did not recover component(s) {names} ({exc})"
+                ) from exc
         w, ll = e_step(model, data)
         ll_trace.append(ll)
         if prev_ll is not None and abs(ll - prev_ll) <= cfg.ll_tol * abs(ll):

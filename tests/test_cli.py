@@ -437,6 +437,37 @@ class TestConfigFile:
         assert err == f"usage error: unknown config key {key!r}\n"
         assert not (tmp_path / "x").exists()
 
+    def test_config_supplies_a_required_flag(self, tmp_path):
+        out = generate_mixture(tmp_path)
+        model = tmp_path / "model.json"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"labels": str(out / "labels.csv"), "k": 2}))
+        assert run(
+            "--config", str(cfg_path), "fit", "--data", str(out / "data.csv"),
+            "--estimator", "baseline", "--out", str(model),
+        ) == EXIT_OK
+        metrics = tmp_path / "metrics.json"
+        assert run(
+            "--config", str(cfg_path), "eval", "--model", str(model),
+            "--data", str(out / "data.csv"), "--out", str(metrics),
+        ) == EXIT_OK
+        assert json.loads(metrics.read_text())["component_counts"]
+
+    @pytest.mark.parametrize("cfg", [None, {"k": 2}])
+    def test_missing_required_flag_is_usage_error(self, tmp_path, capsys, cfg):
+        argv = []
+        if cfg is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            argv = ["--config", str(cfg_path)]
+        code = run(
+            *argv, "eval", "--model", str(tmp_path / "m.json"),
+            "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "metrics.json"),
+        )
+        err = assert_one_line_usage_error(code, capsys)
+        assert err == "usage error: --labels is required\n"
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_config_as_last_argument_is_usage_error(self, capsys):
         assert_one_line_usage_error(run("--config"), capsys)
 

@@ -157,6 +157,36 @@ class TestSupportPatternProperties:
         assert obj["n"] == n and len(obj["triplets"]) == len(p)
 
 
+class TestQuadFormProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["diagonal", "random", "full"]),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_reference(self, kind, n, n_points, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "diagonal":
+            p = SupportPattern.diagonal(n)
+        elif kind == "full":
+            p = SupportPattern.full(n)
+        else:
+            p = SupportPattern.from_mask(rng.random((n, n)) < 0.3)
+        vals = np.where(p.mask(), rng.standard_normal((n, n)), 0.0)
+        vals = 0.5 * (vals + vals.T)
+        q = SparseSpd(vals + np.diag(np.abs(vals).sum(axis=1) + 1.0), p)
+        d = rng.standard_normal((n_points, n)) * rng.uniform(0.1, 10.0)
+        ref = np.einsum("ij,jk,ik->i", d, q.dense, d)
+        out = q.quad_form(d)
+        assert out.shape == (n_points,)
+        np.testing.assert_allclose(out, ref, rtol=1e-12)
+        assert np.all(out >= 0.0)
+        one = q.quad_form(d[0])
+        assert type(one) is float
+        np.testing.assert_allclose(one, ref[0], rtol=1e-12)
+
+
 class TestSparseSpd:
     def test_log_det_matches_slogdet(self):
         rng = np.random.default_rng(3)

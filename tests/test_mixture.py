@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gmrfmix import mixture
 from gmrfmix.errors import DegenerateInit, DimensionMismatch, EmptyComponent
 from gmrfmix.matrices import SparseSpd, SupportPattern
 from gmrfmix.mixture import (
@@ -88,6 +89,36 @@ class TestEStep:
         assert np.isfinite(ll)
         assert resp[0, 0] == pytest.approx(1.0)
         assert resp[1, 1] == pytest.approx(1.0)
+
+
+    def test_matches_scipy_multivariate_normal(self):
+        from scipy.special import logsumexp
+        from scipy.stats import multivariate_normal
+
+        rng = np.random.default_rng(12)
+        n = 6
+        sparse = 2.5 * np.eye(n) - 0.8 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        a = rng.standard_normal((n, n))
+        full = a @ a.T + n * np.eye(n)
+        means = [rng.standard_normal(n), rng.standard_normal(n) + 1.5]
+        model = MixtureModel(
+            [
+                GmrfComponent(0.35, means[0], SparseSpd(sparse)),
+                GmrfComponent(0.65, means[1], SparseSpd(full)),
+            ]
+        )
+        assert len(model.components[0].precision.pattern) == 2 * n - 1
+        data = rng.standard_normal((40, n)) * 1.5 + 0.5
+        log_w = np.column_stack(
+            [
+                np.log(c.weight)
+                + multivariate_normal(c.mean, np.linalg.inv(c.precision.dense)).logpdf(data)
+                for c in model.components
+            ]
+        )
+        resp, ll = e_step(model, data)
+        np.testing.assert_allclose(resp, np.exp(log_w - logsumexp(log_w, axis=1)[:, None]), rtol=1e-10)
+        assert ll == pytest.approx(float(np.sum(logsumexp(log_w, axis=1))), rel=1e-10)
 
 
 class TestWeightedStats:
@@ -258,6 +289,46 @@ class TestFitEm:
         init[:, 0] = 1.0
         with pytest.raises(DegenerateInit):
             fit_em(data, EmConfig(estimator=BaselineEstimator(), k=2), init_resp=init)
+
+
+    def reseed_run(self, monkeypatch, extra_weight, min_component_weight):
+        """EM on one Gaussian cloud whose second component starts as a scaled
+        copy of the first, so the first E-step gives it N * pi_1, below
+        N * min_component_weight; returns the run's result and the reseeds."""
+        reseeded = []
+        reseed = mixture._reseed_component
+
+        def spy(w, k, point_ll, n_dim):
+            reseeded.append(k)
+            return reseed(w, k, point_ll, n_dim)
+
+        monkeypatch.setattr(mixture, "_reseed_component", spy)
+        data = np.random.default_rng(0).standard_normal((200, 2))
+        init = np.column_stack([np.ones(200), np.full(200, extra_weight)])
+        cfg = EmConfig(
+            estimator=BaselineEstimator(), k=2, max_em_iters=5,
+            min_component_weight=min_component_weight,
+        )
+        return lambda: fit_em(data, cfg, init_resp=init), reseeded
+
+    def test_reseed_recovers_starved_component(self, monkeypatch):
+        # init mass 20 >= 19; after the first E-step 200 * 20/220 = 18.2 < 19
+        run, reseeded = self.reseed_run(monkeypatch, 0.1, 0.095)
+        model, ll_trace, resp = run()
+        assert reseeded and set(reseeded) == {1}
+        assert sum(c.weight for c in model.components) == pytest.approx(1.0, abs=1e-12)
+        assert len(ll_trace) == 5 and np.all(np.isfinite(ll_trace))
+        assert np.allclose(resp.sum(axis=1), 1.0)
+
+    def test_reseed_that_does_not_recover_names_component_and_iteration(self, monkeypatch):
+        # threshold 90; the reseed moves ~10 points, far short of it
+        run, reseeded = self.reseed_run(monkeypatch, 0.5, 0.45)
+        with pytest.raises(EmptyComponent) as info:
+            run()
+        assert reseeded == [1]
+        msg = str(info.value)
+        assert "\n" not in msg
+        assert msg.startswith("EM iteration 2: reseeding did not recover component(s) 1 (")
 
 
 class TestPredict:
