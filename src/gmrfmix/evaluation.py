@@ -8,6 +8,7 @@ a graphical-lasso estimate.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -188,5 +189,6 @@ def save_eigenvalue_csv(report: BiasReport, path: str) -> None:
     names = sorted(report.eigenvalues)
     cols = [report.eigenvalues[n] for n in names]
     arr = np.column_stack(cols)
-    header = ",".join(names)
-    np.savetxt(path, arr, delimiter=",", header=header, comments="", fmt="%.17g")
+    buf = io.StringIO()
+    np.savetxt(buf, arr, delimiter=",", header=",".join(names), comments="", fmt="%.17g")
+    write_atomic_text(path, buf.getvalue())

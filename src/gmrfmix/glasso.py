@@ -3,7 +3,9 @@
 The solver restricts each Newton update to the free set (current nonzeros
 plus entries whose gradient violates the l1 threshold), solves the LASSO
 subproblem by cyclic coordinate descent with exact soft-threshold updates,
-and line-searches the penalized objective under an SPD guard.
+and steps along the direction with the SPD-guarded Armijo search that the
+support-constrained MLE also uses (`mle.armijo_spd_search`), applied to the
+penalized objective.
 
 Debiasing keeps only the support of the lasso estimate and re-solves the
 support-constrained MLE, warm-started at the lasso iterate (`refit`).
@@ -15,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, LineSearchFailed, NotSpd
-from .matrices import SparseSpd, SupportPattern, check_symmetric, cholesky, spd_inverse
+from .errors import DimensionMismatch
+from .matrices import SparseSpd, SupportPattern, check_symmetric, spd_inverse
 from .mle import (
     MleConfig,
     MleResult,
+    armijo_spd_search,
     default_q0,
     estimate_known_support,
     neg_log_likelihood,
@@ -45,6 +48,10 @@ class GlassoConfig:
             raise ValueError("lambda must be >= 0")
         if self.newton_tol <= 0 or self.sub_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if not (0 < self.armijo_c < 1 and 0 < self.backtrack_factor < 1):
+            raise ValueError("armijo_c and backtrack_factor must lie in (0,1)")
+        if min(self.max_newton_iters, self.lasso_inner_iters, self.max_backtracks) < 1:
+            raise ValueError("iteration counts must be >= 1")
 
 
 @dataclass
@@ -203,56 +210,33 @@ def glasso_solve(
     pattern has numerically-zero entries pruned (diagonal always kept).
     """
     s = check_symmetric(s)
-    n = s.shape[0]
-    if q0 is None:
-        q0 = default_q0(s, SupportPattern.diagonal(n))
-    q = q0.dense.copy()
-
-    def penalized_objective(mat: np.ndarray) -> float:
-        chol = cholesky(mat)  # raises NotSpd for bad steps
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return -logdet + float(np.sum(mat * s)) + _l1_penalty(mat, cfg)
-
-    trace = [penalized_objective(q)]
+    q = q0 if q0 is not None else default_q0(s, SupportPattern.diagonal(s.shape[0]))
+    trace = [glasso_objective(q, s, cfg)]
     kkt = np.inf
     converged = False
     iters = 0
     for t in range(cfg.max_newton_iters):
-        q_spd = SparseSpd(q, SupportPattern.from_mask(q != 0.0))  # SparseSpd checks q
-        w = spd_inverse(q_spd)
-        kkt = kkt_residual(q, w, s, cfg)
+        w = spd_inverse(q)
+        kkt = kkt_residual(q.dense, w, s, cfg)
         if kkt <= cfg.newton_tol:
             converged = True
             break
-        free = free_set(q_spd, s, cfg.lam, w=w)
-        delta = lasso_newton_direction(q_spd, s, free, cfg, w=w)
+        free = free_set(q, s, cfg.lam, w=w)
+        delta = lasso_newton_direction(q, s, free, cfg, w=w)
 
-        g = s - w
-        descent = pattern_trace(g, delta) + _l1_penalty(q + delta, cfg) - _l1_penalty(q, cfg)
+        l1_now = _l1_penalty(q.dense, cfg)
+        descent = pattern_trace(s - w, delta) + _l1_penalty(q.dense + delta, cfg) - l1_now
         if descent >= 0.0:
             # subproblem produced no usable direction; report where we are
             break
-        f0 = trace[-1]
-        alpha = 1.0
-        accepted = False
-        for _ in range(cfg.max_backtracks):
-            cand = q + alpha * delta
-            try:
-                f_new = penalized_objective(cand)
-            except NotSpd:
-                alpha *= cfg.backtrack_factor
-                continue
-            if f_new <= f0 + cfg.armijo_c * alpha * descent:
-                q = cand
-                trace.append(f_new)
-                accepted = True
-                break
-            alpha *= cfg.backtrack_factor
-        if not accepted:
-            raise LineSearchFailed("no acceptable step in the penalized line search")
+        _, q, f_new = armijo_spd_search(
+            q, delta, free, descent, trace[-1],
+            lambda cand: glasso_objective(cand, s, cfg), cfg,
+        )
+        trace.append(f_new)
         iters = t + 1
 
-    result_q = _prune(q, cfg.prune_eps)
+    result_q = _prune(q.dense, cfg.prune_eps)
     if converged:
         # recompute against the pruned iterate so the reported residual is honest
         kkt = kkt_residual(result_q.dense, spd_inverse(result_q), s, cfg)

@@ -92,8 +92,6 @@ class MixtureModel:
 class BaselineEstimator:
     """Unregularized closed-form MLE, Q = S^{-1} (with the tiny ridge guard)."""
 
-    name = "baseline"
-
     def fit(self, s: np.ndarray, warm: SparseSpd | None, k: int) -> SparseSpd:
         return dense_mle(s)
 
@@ -101,7 +99,6 @@ class BaselineEstimator:
 @dataclass
 class GlassoEstimator:
     cfg: GlassoConfig = field(default_factory=GlassoConfig)
-    name = "glasso"
 
     def fit(self, s: np.ndarray, warm: SparseSpd | None, k: int) -> SparseSpd:
         return glasso_solve(s, self.cfg, q0=warm).q
@@ -111,7 +108,6 @@ class GlassoEstimator:
 class DebiasedEstimator:
     cfg: GlassoConfig = field(default_factory=GlassoConfig)
     mle_cfg: MleConfig = field(default_factory=MleConfig)
-    name = "debiased"
 
     def fit(self, s: np.ndarray, warm: SparseSpd | None, k: int) -> SparseSpd:
         return debias(s, self.cfg, self.mle_cfg, q0=warm).q
@@ -123,7 +119,6 @@ class KnownSupportEstimator:
 
     patterns: list[SupportPattern]
     mle_cfg: MleConfig = field(default_factory=MleConfig)
-    name = "known_support"
 
     def fit(self, s: np.ndarray, warm: SparseSpd | None, k: int) -> SparseSpd:
         pattern = self.patterns[k] if len(self.patterns) > 1 else self.patterns[0]

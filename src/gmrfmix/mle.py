@@ -4,7 +4,9 @@ The estimator minimizes -log det Q + tr(Q S) over SPD matrices whose
 support is restricted to a given pattern. The Newton direction is obtained
 by solving W @ Delta @ W = -G (W = Q^{-1}) with a projected, diagonally
 preconditioned conjugate gradient, followed by an Armijo backtracking line
-search that also guards positive-definiteness via Cholesky.
+search that also guards positive-definiteness via Cholesky. The graphical
+lasso (`glasso.glasso_solve`) takes its steps with the same search
+(`armijo_spd_search`) on its penalized objective.
 """
 
 from __future__ import annotations
@@ -62,13 +64,10 @@ def pattern_trace(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def neg_log_likelihood(q: SparseSpd, s: np.ndarray) -> float:
-    """-log det Q + tr(Q S), the trace taken over the pattern entries only."""
+    """-log det Q + tr(Q S), with tr(Q S) = sum(Q * S) for symmetric operands."""
     if s.shape[0] != q.n:
         raise DimensionMismatch("covariance dimension differs from precision")
-    vals = q.values()
-    srow = s[q.pair_rows, q.pair_cols]
-    doubled = np.where(q.pair_rows != q.pair_cols, 2.0, 1.0)
-    return -q.log_det + float(np.sum(vals * srow * doubled))
+    return -q.log_det + float(np.sum(q.dense * s))
 
 
 def gradient(q: SparseSpd, s: np.ndarray) -> np.ndarray:
@@ -180,29 +179,32 @@ def proj_pcg(
 
 def armijo_spd_search(
     q: SparseSpd,
-    s: np.ndarray,
-    g: np.ndarray,
     delta: np.ndarray,
-    cfg: MleConfig,
+    pattern: SupportPattern,
+    descent: float,
+    f0: float,
+    objective,
+    cfg,
 ):
-    """Backtracking line search with an SPD guard.
+    """Backtracking line search with an SPD guard, shared by both Newton solvers.
 
     Returns (alpha, q_new, f_new) for the largest alpha in {1, beta,
-    beta^2, ...} such that Q + alpha Delta passes Cholesky and satisfies the
-    Armijo sufficient-decrease condition on the negative log-likelihood.
+    beta^2, ...} such that Q + alpha Delta, stored on the pattern (which
+    holds the supports of Q and Delta), passes Cholesky and satisfies the
+    Armijo condition objective(q_new) <= f0 + c * alpha * descent. f0 is
+    the objective at Q and descent its directional derivative along Delta;
+    cfg supplies armijo_c, backtrack_factor and max_backtracks.
     """
-    descent = pattern_trace(g, delta)
     if descent >= 0.0:
-        raise LineSearchFailed(f"not a descent direction (tr(G D) = {descent:g})")
-    f0 = neg_log_likelihood(q, s)
+        raise LineSearchFailed(f"not a descent direction (descent {descent:g})")
     alpha = 1.0
     for _ in range(cfg.max_backtracks):
         try:
-            cand = SparseSpd(q.dense + alpha * delta, q.pattern)
+            cand = SparseSpd(q.dense + alpha * delta, pattern)
         except NotSpd:
             alpha *= cfg.backtrack_factor
             continue
-        f_new = neg_log_likelihood(cand, s)
+        f_new = objective(cand)
         if f_new <= f0 + cfg.armijo_c * alpha * descent:
             return alpha, cand, f_new
         alpha *= cfg.backtrack_factor
@@ -251,7 +253,10 @@ def estimate_known_support(
             converged = True
             break
         delta, _ = proj_pcg(q, g, pattern, cfg, w=w)
-        _, q, f_new = armijo_spd_search(q, s, g, delta, cfg)
+        _, q, f_new = armijo_spd_search(
+            q, delta, pattern, pattern_trace(g, delta), trace[-1],
+            lambda cand: neg_log_likelihood(cand, s), cfg,
+        )
         trace.append(f_new)
         iters = t + 1
     return MleResult(q=q, objective_trace=trace, converged=converged, iterations=iters)

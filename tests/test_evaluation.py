@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -271,3 +272,26 @@ class TestBiasReport:
         save_eigenvalue_csv(report, str(csv_path))
         header = csv_path.read_text().splitlines()[0]
         assert set(header.split(",")) == {"truth", "est"}
+
+    def test_failed_eigenvalue_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        truth = SparseSpd(np.diag([1.0, 2.0]))
+        path = tmp_path / "eigenvalues.csv"
+        first = bias_report(truth, np.eye(2), {"est": SparseSpd(np.eye(2))}, lam=0.0)
+        save_eigenvalue_csv(first, str(path))
+        names = sorted(first.eigenvalues)
+        direct = tmp_path / "direct.csv"
+        np.savetxt(str(direct), np.column_stack([first.eigenvalues[k] for k in names]),
+                   delimiter=",", header=",".join(names), comments="", fmt="%.17g")
+        assert path.read_bytes() == direct.read_bytes()
+        direct.unlink()
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        second = bias_report(truth, np.eye(2), {"est": SparseSpd(3.0 * np.eye(2))}, lam=0.0)
+        with pytest.raises(OSError, match="rename failed"):
+            save_eigenvalue_csv(second, str(path))
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["eigenvalues.csv"]

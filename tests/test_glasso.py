@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmrfmix.glasso import (
     GlassoConfig,
@@ -188,6 +190,23 @@ class TestGlassoSolve:
         assert res.kkt_residual <= cfg.newton_tol
 
 
+class TestCertificateProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 10), st.floats(0.02, 0.4), st.integers(0, 2**32 - 1))
+    def test_converges_with_honest_certificate(self, n, lam, seed):
+        # well-conditioned: eigenvalues in [0.5, 2] on a random orthonormal basis
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = (basis * rng.uniform(0.5, 2.0, n)) @ basis.T
+        s = 0.5 * (s + s.T)
+        cfg = GlassoConfig(lam=lam)
+        res = glasso_solve(s, cfg)
+        assert res.converged
+        assert res.kkt_residual == kkt_residual(res.q.dense, spd_inverse(res.q), s, cfg)
+        assert res.kkt_residual <= cfg.newton_tol
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+
 class TestKktResidual:
     def test_hand_built_optimum(self):
         # build W from the stationarity conditions and invert
@@ -263,3 +282,18 @@ def test_entry_points_reject_asymmetric_covariance(solve):
     s[0, 1] += 1e-3
     with pytest.raises(DimensionMismatch):
         solve(s)
+
+
+@pytest.mark.parametrize("config", [MleConfig, GlassoConfig])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"backtrack_factor": 2.0}, "must lie in"),
+        ({"armijo_c": 0.0}, "must lie in"),
+        ({"max_backtracks": 0}, "iteration counts"),
+    ],
+    ids=["backtrack_factor", "armijo_c", "max_backtracks"],
+)
+def test_configs_reject_bad_line_search_settings(config, bad, message):
+    with pytest.raises(ValueError, match=message):
+        config(**bad)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from gmrfmix.errors import LineSearchFailed, NotSpd
+from gmrfmix.errors import DimensionMismatch, LineSearchFailed, NotSpd
 from gmrfmix.matrices import SparseSpd, SupportPattern, project_to_pattern, spd_inverse
 from gmrfmix.mle import (
     MleConfig,
@@ -13,6 +13,7 @@ from gmrfmix.mle import (
     gradient,
     hessian_apply,
     neg_log_likelihood,
+    pattern_trace,
     precond_weights,
     proj_pcg,
 )
@@ -200,13 +201,21 @@ class TestProjPcg:
         assert np.linalg.norm(resid) <= cfg.pcg_tol * np.linalg.norm(g)
 
 
+def nll_search(q, s, g, delta, pattern=None):
+    """The known-support MLE's call of the shared line search."""
+    return armijo_spd_search(
+        q, delta, q.pattern if pattern is None else pattern, pattern_trace(g, delta),
+        neg_log_likelihood(q, s), lambda cand: neg_log_likelihood(cand, s), MleConfig(),
+    )
+
+
 class TestArmijoSpd:
     def test_scalar_lands_on_minimizer(self):
         q = SparseSpd(np.array([[2.0]]))
         s = np.array([[1.0]])
         g = np.array([[0.5]])
         delta = np.array([[-2.0]])
-        alpha, q_new, _ = armijo_spd_search(q, s, g, delta, MleConfig())
+        alpha, q_new, _ = nll_search(q, s, g, delta)
         assert alpha == 0.5
         assert np.allclose(q_new.dense, [[1.0]])
 
@@ -216,7 +225,7 @@ class TestArmijoSpd:
         s = 2.0 * np.eye(n)
         g = np.eye(n)
         delta = -np.eye(n)
-        alpha, q_new, f_new = armijo_spd_search(q, s, g, delta, MleConfig())
+        alpha, q_new, f_new = nll_search(q, s, g, delta)
         assert alpha == 0.5
         assert np.allclose(q_new.dense, 0.5 * np.eye(n))
         assert f_new == pytest.approx(n * (np.log(2.0) + 1.0))
@@ -224,7 +233,24 @@ class TestArmijoSpd:
     def test_non_descent_rejected(self):
         q = SparseSpd(np.eye(2))
         with pytest.raises(LineSearchFailed):
-            armijo_spd_search(q, np.eye(2), np.eye(2), np.eye(2), MleConfig())
+            nll_search(q, np.eye(2), np.eye(2), np.eye(2))
+
+    def test_candidate_stored_on_larger_pattern(self):
+        # glasso's use: the step adds entries outside Q's pattern, and the
+        # search stores the candidate on a free set wider than its support
+        s = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        q = SparseSpd(np.eye(3))
+        delta = np.linalg.inv(s) - np.eye(3)
+        delta[np.abs(delta) < 1e-15] = 0.0
+        free = SupportPattern.full(3)
+        with pytest.raises(DimensionMismatch):
+            nll_search(q, s, s - np.eye(3), delta)
+        alpha, q_new, f_new = nll_search(q, s, s - np.eye(3), delta, pattern=free)
+        assert alpha == 1.0
+        assert q_new.pattern == free
+        assert SupportPattern.from_mask(q_new.dense != 0.0) != free
+        assert np.allclose(q_new.dense, np.linalg.inv(s))
+        assert f_new == pytest.approx(np.log(0.75) + 3.0)
 
 
 def brute_force_constrained_mle(s, pattern, x0_q):
