@@ -1,9 +1,11 @@
 """Command-line entry point for reproducible experiment pipelines.
 
-Subcommands: generate, fit, eval, bias-report, lambda-sweep. Every command
-writes a run manifest next to its outputs; all randomness flows from
---seed. Exit codes: 0 success, 2 usage error, 3 I/O failure, 4 numerical
-failure.
+Subcommands: generate, fit, eval, bias-report, lambda-sweep. The four
+precision estimators are named once, in ESTIMATORS; `fit`, `bias-report`
+and `lambda-sweep` build every estimate from those M-step estimators.
+`main` times each command and writes its run manifest next to its outputs;
+all randomness flows from --seed. Exit codes: 0 success, 2 usage error,
+3 I/O failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .mixture import (
     fit_em,
     predict,
 )
-from .mle import MleConfig, dense_mle, estimate_known_support, neg_log_likelihood
+from .mle import dense_mle, neg_log_likelihood
 from .synthetic import (
     DiffusionSpec,
     LatticeSpec,
@@ -73,8 +75,7 @@ def _empirical_cov(data: np.ndarray) -> np.ndarray:
 # generate
 
 
-def cmd_generate(args) -> int:
-    t0 = time.monotonic()
+def cmd_generate(args) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     if args.kind == "laplacian2d":
         if args.samples is None:
@@ -89,7 +90,7 @@ def cmd_generate(args) -> int:
             "seed": args.seed,
         }
         save_dataset(args.out_dir, data, None, [q], meta)
-    elif args.kind == "diffusion-mixture":
+    else:  # diffusion-mixture, the other --kind choice
         if args.samples_range is None:
             raise UsageError("--samples-range is required for diffusion-mixture")
         lo, hi = args.samples_range
@@ -108,10 +109,6 @@ def cmd_generate(args) -> int:
             "seed": args.seed,
         }
         save_dataset(args.out_dir, data, labels, precisions, meta)
-    else:
-        raise UsageError(f"unknown --kind {args.kind!r}")
-    _write_manifest(args.out_dir, "generate", vars(args), time.monotonic() - t0)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -139,47 +136,77 @@ def _load_support(path: str, n: int, k: int) -> list[SupportPattern]:
     return patterns
 
 
-def _build_estimator(args, n: int):
-    if args.estimator == "baseline":
-        return BaselineEstimator()
-    if args.estimator in ("glasso", "debiased"):
-        if args.lam is None:
-            raise UsageError(f"--lambda is required for {args.estimator}")
-        gcfg = GlassoConfig(lam=args.lam)
-        if args.estimator == "glasso":
-            return GlassoEstimator(gcfg)
-        return DebiasedEstimator(gcfg, MleConfig())
-    if args.estimator == "known-support":
-        if args.support is None:
+# name -> the M-step estimator it builds; the names --estimator and --estimators take
+ESTIMATORS = {
+    "baseline": BaselineEstimator,
+    "glasso": GlassoEstimator,
+    "debiased": DebiasedEstimator,
+    "known-support": KnownSupportEstimator,
+}
+
+
+def _build_estimator(name: str, lam: float | None, patterns):
+    """The M-step estimator registered as `name`.
+
+    Only known-support calls `patterns`, which returns None when no support was given.
+    """
+    cls = ESTIMATORS.get(name)
+    if cls is None:
+        raise UsageError(f"unknown estimator {name!r}")
+    if cls in (GlassoEstimator, DebiasedEstimator):
+        if lam is None:
+            raise UsageError(f"--lambda is required for {name}")
+        return cls(GlassoConfig(lam=lam))
+    if cls is KnownSupportEstimator:
+        support = patterns()
+        if not support:
             raise UsageError("--support (pattern JSON) is required for known-support")
-        return KnownSupportEstimator(_load_support(args.support, n, args.k), MleConfig())
-    raise UsageError(f"unknown --estimator {args.estimator!r}")
+        return cls(support)
+    return cls()
 
 
-def cmd_fit(args) -> int:
-    t0 = time.monotonic()
+def _cold_fits(names, s: np.ndarray, lam: float, patterns=lambda: None) -> dict:
+    """Each named estimate, fitted once from a cold start on the covariance s.
+
+    Every name is built before any solve. glasso and debiased share one
+    graphical-lasso solve: the debiased estimate is its refit.
+    """
+    estimators = {name: _build_estimator(name, lam, patterns) for name in names}
+    estimates, lasso = {}, None
+    for name, est in estimators.items():
+        if isinstance(est, (GlassoEstimator, DebiasedEstimator)):
+            if lasso is None:
+                lasso = glasso_solve(s, est.cfg).q
+            debiased = isinstance(est, DebiasedEstimator)
+            estimates[name] = refit(s, lasso, est.mle_cfg).q if debiased else lasso
+        else:
+            estimates[name] = est.fit(s, None, 0)
+    return estimates
+
+
+def cmd_fit(args) -> None:
     data = load_dense_csv(args.data)
+
+    def patterns():
+        return args.support and _load_support(args.support, data.shape[1], args.k)
+
     cfg = EmConfig(
-        estimator=_build_estimator(args, data.shape[1]),
+        estimator=_build_estimator(args.estimator, args.lam, patterns),
         k=args.k,
         fix_means_to_zero=args.zero_means,
     )
     model, ll_trace, _ = fit_em(data, cfg, seed=args.seed)
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     model.save(args.out)
     trace_path = os.path.splitext(args.out)[0] + "_ll_trace.csv"
     write_atomic_text(trace_path, "".join(f"{v:.17g}\n" for v in ll_trace))
-    _write_manifest(out_dir, "fit", vars(args), time.monotonic() - t0)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 
-def cmd_eval(args) -> int:
-    t0 = time.monotonic()
+def cmd_eval(args) -> None:
     model = MixtureModel.load(args.model)
     data = load_dense_csv(args.data)
     labels = np.loadtxt(args.labels, dtype=int, ndmin=1)
@@ -197,9 +224,6 @@ def cmd_eval(args) -> int:
         "mean_negative_log_likelihood": -total_ll / data.shape[0],
     }
     write_atomic_text(args.out, json.dumps(metrics, indent=2))
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    _write_manifest(out_dir, "eval", vars(args), time.monotonic() - t0)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -218,40 +242,23 @@ def _load_truth(path: str) -> SparseSpd:
         raise UsageError(f"--truth {path} must hold exactly one precision") from exc
 
 
-def cmd_bias_report(args) -> int:
-    t0 = time.monotonic()
+def cmd_bias_report(args) -> None:
     q_true = _load_truth(args.truth)
     data = load_dense_csv(args.data)
     s = _empirical_cov(data)
     names = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    estimates = {}
-    gcfg = GlassoConfig(lam=args.lam)
-    lasso = None  # one glasso solve serves both "glasso" and "debiased"
-    for name in names:
-        if name == "known-support":
-            estimates[name] = estimate_known_support(s, q_true.pattern).q
-        elif name in ("glasso", "debiased"):
-            if lasso is None:
-                lasso = glasso_solve(s, gcfg).q
-            estimates[name] = lasso if name == "glasso" else refit(s, lasso).q
-        elif name == "baseline":
-            estimates[name] = dense_mle(s)
-        else:
-            raise UsageError(f"unknown estimator {name!r}")
+    estimates = _cold_fits(names, s, args.lam, lambda: [q_true.pattern])
     report = bias_report(q_true, s, estimates, args.lam)
     os.makedirs(args.out_dir, exist_ok=True)
     report.save(os.path.join(args.out_dir, "bias_report.json"))
     save_eigenvalue_csv(report, os.path.join(args.out_dir, "eigenvalues.csv"))
-    _write_manifest(args.out_dir, "bias-report", vars(args), time.monotonic() - t0)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # lambda-sweep
 
 
-def cmd_lambda_sweep(args) -> int:
-    t0 = time.monotonic()
+def cmd_lambda_sweep(args) -> None:
     data = load_dense_csv(args.data)
     rng = np.random.default_rng(args.seed)
     perm = rng.permutation(data.shape[0])
@@ -262,27 +269,16 @@ def cmd_lambda_sweep(args) -> int:
     s_train = _empirical_cov(train)
     s_test = _empirical_cov(test)
 
-    rows = []
-    for lam in args.lambda_grid:
-        if lam == 0.0:
-            q = dense_mle(s_train)
-            rows.append(("glasso", lam, q, s_test))
-            rows.append(("debiased", lam, q, s_test))
-            continue
-        gcfg = GlassoConfig(lam=lam)
-        g_res = glasso_solve(s_train, gcfg)
-        rows.append(("glasso", lam, g_res.q, s_test))
-        rows.append(("debiased", lam, refit(s_train, g_res.q).q, s_test))
-
+    names = ("glasso", "debiased")
     lines = ["estimator,lambda,nnz_per_row,heldout_mean_nll"]
-    for name, lam, q, s_t in rows:
-        nnz_per_row = (2 * len(q.pattern) - q.n) / q.n
-        nll = neg_log_likelihood(q, s_t)
-        lines.append(f"{name},{lam:.17g},{nnz_per_row:.17g},{nll:.17g}")
+    for lam in args.lambda_grid:
+        # at lambda 0 both rows are the unpenalized dense MLE
+        fits = _cold_fits(names, s_train, lam) if lam else dict.fromkeys(names, dense_mle(s_train))
+        for name, q in fits.items():
+            nnz_per_row = (2 * len(q.pattern) - q.n) / q.n
+            nll = neg_log_likelihood(q, s_test)
+            lines.append(f"{name},{lam:.17g},{nnz_per_row:.17g},{nll:.17g}")
     write_atomic_text(args.out, "\n".join(lines) + "\n")
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    _write_manifest(out_dir, "lambda-sweep", vars(args), time.monotonic() - t0)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +286,7 @@ def cmd_lambda_sweep(args) -> int:
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """Subcommand parser that records the dest of each flag a config file may set.
+    """Subcommand parser that records the action of each flag a config file may set.
 
     Flags declared required=True are recorded too, not handed to argparse,
     so that a config file can supply them; `check_required` runs after the
@@ -298,14 +294,14 @@ class _CommandParser(argparse.ArgumentParser):
     """
 
     def __init__(self, *args, **kwargs):
-        self.dests = set()
+        self.actions = {}  # dest -> action
         self.required = {}  # dest -> flag
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, required=False, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if action.default is not argparse.SUPPRESS:  # not --help
-            self.dests.add(action.dest)
+            self.actions[action.dest] = action
         if required:
             self.required[action.dest] = action.option_strings[0]
         return action
@@ -340,11 +336,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
     f = sub.add_parser("fit", help="fit a mixture model by EM")
     f.add_argument("--data", required=True)
     f.add_argument("--k", type=int, required=True)
-    f.add_argument(
-        "--estimator",
-        required=True,
-        choices=["baseline", "glasso", "debiased", "known-support"],
-    )
+    f.add_argument("--estimator", required=True, choices=list(ESTIMATORS))
     f.add_argument("--lambda", dest="lam", type=float)
     f.add_argument("--support", help="pattern JSON (known-support only)")
     f.add_argument("--zero-means", action="store_true")
@@ -363,7 +355,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
     b.add_argument("--truth", required=True, help="true precision, SparseSpd JSON")
     b.add_argument("--data", required=True)
     b.add_argument("--lambda", dest="lam", type=float, required=True)
-    b.add_argument("--estimators", required=True, help="comma-separated list")
+    b.add_argument("--estimators", required=True, help="comma-separated fit --estimator names")
     b.add_argument("--out-dir", required=True)
     b.set_defaults(func=cmd_bias_report)
 
@@ -375,6 +367,35 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
     l.add_argument("--out", default="lambda_sweep.csv")
     l.set_defaults(func=cmd_lambda_sweep)
     return parser, {"generate": g, "fit": f, "eval": e, "bias-report": b, "lambda-sweep": l}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value checked against its flag's nargs, type and choices, and converted.
+
+    argparse applies none of these checks to a default that is not a string.
+    """
+
+    def convert(item):
+        numbers = {int: (int,), float: (int, float)}.get(action.type, ())
+        if isinstance(item, bool) or not isinstance(item, (str, *numbers)):
+            raise ValueError
+        item = item if action.type is None else action.type(item)
+        if action.choices is not None and item not in action.choices:
+            raise ValueError
+        return item
+
+    try:
+        if action.nargs == 0:  # a store_true switch takes JSON booleans only
+            if isinstance(value, bool):
+                return value
+        elif action.nargs is None:
+            return convert(value)
+        elif isinstance(value, list) and value and action.nargs in ("+", len(value)):
+            return [convert(item) for item in value]
+    except (ValueError, OverflowError):  # OverflowError: an integer too large for a float
+        pass
+    flag = action.option_strings[0]
+    raise UsageError(f"config key {key!r}: {json.dumps(value)} is not a valid {flag} value")
 
 
 def _apply_config_file(commands, argv):
@@ -389,14 +410,13 @@ def _apply_config_file(commands, argv):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise UsageError(f"--config {path} must hold a JSON object")
-    defaults = {}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if not any(dest in p.dests for p in commands.values()):
+        owners = [p for p in commands.values() if dest in p.actions]
+        if not owners:
             raise UsageError(f"unknown config key {key!r}")
-        defaults[dest] = value
-    for p in commands.values():
-        p.set_defaults(**{k: v for k, v in defaults.items() if k in p.dests})
+        for p in owners:
+            p.set_defaults(**{dest: _config_value(p.actions[dest], key, value)})
     return argv[:idx] + argv[idx + 2 :]
 
 
@@ -407,7 +427,11 @@ def main(argv=None) -> int:
         argv = _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
         commands[args.command].check_required(args)
-        return args.func(args)
+        t0 = time.monotonic()
+        args.func(args)
+        out_dir = vars(args).get("out_dir") or os.path.dirname(os.path.abspath(args.out))
+        _write_manifest(out_dir, args.command, vars(args), time.monotonic() - t0)
+        return EXIT_OK
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (OSError, json.JSONDecodeError) as exc:

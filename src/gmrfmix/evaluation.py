@@ -101,17 +101,19 @@ def mean_relative_eigenvalue_error(true_eigs: np.ndarray, est_eigs: np.ndarray) 
     return float(np.mean(np.abs(e - t) / t))
 
 
-def kkt_sign_check(q_lam: SparseSpd, s: np.ndarray, lam: float):
+def kkt_sign_check(q_lam: SparseSpd, s: np.ndarray, lam: float, w: np.ndarray | None = None):
     """Sign-opposition fraction and max stationarity residual of a lasso estimate.
 
     Over off-diagonal entries with q_ij != 0 and |s_ij| > lam, counts how
     often sign(s_ij) == -sign(q_ij); also reports the max of
-    |w_ij - s_ij - lam * sign(q_ij)| over the nonzero off-diagonals.
+    |w_ij - s_ij - lam * sign(q_ij)| over the nonzero off-diagonals. Pass
+    w = Q^{-1} when it is already at hand.
     """
     if s.shape[0] != q_lam.n:
         raise DimensionMismatch("dimension mismatch")
     q = q_lam.dense
-    w = spd_inverse(q_lam)
+    if w is None:
+        w = spd_inverse(q_lam)
     off = ~np.eye(q_lam.n, dtype=bool)
     nz = off & (q != 0.0)
 
@@ -165,7 +167,7 @@ def bias_report(
             "radii": np.sum(np.where(off, np.abs(w), 0.0), axis=1).tolist(),
             "bound": (bound_in + bound_out).tolist(),
         }
-        frac, resid = kkt_sign_check(q, s, lam)
+        frac, resid = kkt_sign_check(q, s, lam, w)
         table = []
         ii, jj = np.nonzero(np.triu(in_supp & (np.abs(s) > lam)))
         for i, j in zip(ii.tolist(), jj.tolist()):

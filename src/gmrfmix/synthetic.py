@@ -43,17 +43,20 @@ class DiffusionSpec:
             raise ValueError("need 0 < coeff_low <= coeff_high")
 
 
+def _grid_edges(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (i, j), i < j, of the 5-point grid edges, nodes numbered row-major.
+
+    Horizontal edges come first, then vertical ones, each row by row.
+    """
+    node = np.arange(rows * cols).reshape(rows, cols)
+    i = np.concatenate([node[:, :-1].ravel(), node[:-1, :].ravel()])
+    j = np.concatenate([node[:, 1:].ravel(), node[1:, :].ravel()])
+    return i, j
+
+
 def _grid_pattern(rows: int, cols: int) -> SupportPattern:
     """5-point neighbor pattern on a rows x cols grid (row-major indexing)."""
-    pairs = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                pairs.append((i, i + 1))
-            if r + 1 < rows:
-                pairs.append((i, i + cols))
-    return SupportPattern(rows * cols, pairs)
+    return SupportPattern(rows * cols, np.column_stack(_grid_edges(rows, cols)))
 
 
 def laplacian2d_precision(spec: LatticeSpec) -> SparseSpd:
@@ -64,12 +67,9 @@ def laplacian2d_precision(spec: LatticeSpec) -> SparseSpd:
     """
     n = spec.rows * spec.cols
     q = 4.0 * np.eye(n)
-    pattern = _grid_pattern(spec.rows, spec.cols)
-    rows, cols = pattern.index_arrays()
-    off = rows != cols
-    q[rows[off], cols[off]] = -1.0
-    q[cols[off], rows[off]] = -1.0
-    return SparseSpd(q, pattern)
+    i, j = _grid_edges(spec.rows, spec.cols)
+    q[i, j] = q[j, i] = -1.0
+    return SparseSpd(q, _grid_pattern(spec.rows, spec.cols))
 
 
 def diffusion_precision(spec: DiffusionSpec, anchor: bool = True) -> SparseSpd:
@@ -86,23 +86,14 @@ def diffusion_precision(spec: DiffusionSpec, anchor: bool = True) -> SparseSpd:
     rng = np.random.default_rng(spec.seed)
     a = rng.uniform(spec.coeff_low, spec.coeff_high, size=(rows, cols))
     b = rng.uniform(spec.coeff_low, spec.coeff_high, size=(rows, cols))
-
+    # horizontal edges use a, vertical ones b
+    coeff = 0.5 * np.concatenate([(a[:, :-1] + a[:, 1:]).ravel(), (b[:-1] + b[1:]).ravel()])
+    i, j = _grid_edges(rows, cols)
     q = np.zeros((n, n))
-
-    def add_edge(i: int, j: int, coeff: float):
-        q[i, i] += coeff
-        q[j, j] += coeff
-        q[i, j] -= coeff
-        q[j, i] -= coeff
-
-    for r in range(rows):
-        for c in range(cols - 1):  # horizontal edges use a
-            i = r * cols + c
-            add_edge(i, i + 1, 0.5 * (a[r, c] + a[r, c + 1]))
-    for r in range(rows - 1):
-        for c in range(cols):  # vertical edges use b
-            i = r * cols + c
-            add_edge(i, i + cols, 0.5 * (b[r, c] + b[r + 1, c]))
+    # each diagonal sums its edges in edge order (i, then j, per edge); the order fixes rounding
+    ends = np.column_stack([i, j]).ravel()
+    np.add.at(q, (ends, ends), np.repeat(coeff, 2))
+    q[i, j] = q[j, i] = -coeff
     if anchor:
         q += 1e-2 * spec.coeff_low * np.eye(n)
     return SparseSpd(q, _grid_pattern(rows, cols))

@@ -6,8 +6,10 @@ import pytest
 
 import gmrfmix.cli
 from gmrfmix.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from gmrfmix.matrices import load_dense_csv
+from gmrfmix.glasso import GlassoConfig, glasso_solve, refit
+from gmrfmix.matrices import SparseSpd, load_dense_csv
 from gmrfmix.mixture import MixtureModel
+from gmrfmix.mle import dense_mle, estimate_known_support
 
 
 def run(*argv):
@@ -29,6 +31,19 @@ def assert_one_line_usage_error(code, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
     return err
+
+
+def count_glasso_solves(monkeypatch):
+    """Route gmrfmix.cli.glasso_solve through a counter; returns the list of calls."""
+    calls = []
+    solve = gmrfmix.cli.glasso_solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gmrfmix.cli, "glasso_solve", counting_solve)
+    return calls
 
 
 def generate_mixture(tmp_path, k=2, rows=2, cols=2, lo=30, hi=40, seed=0):
@@ -348,6 +363,50 @@ class TestBiasReport:
         )
         assert code == EXIT_USAGE
 
+    def test_bad_name_is_found_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        data_dir = generate_lattice(tmp_path)
+        calls = count_glasso_solves(monkeypatch)
+        capsys.readouterr()
+        code = run(
+            "bias-report", "--truth", str(data_dir / "truth.json"),
+            "--data", str(data_dir / "data.csv"), "--lambda", "0.1",
+            "--estimators", "glasso,wat", "--out-dir", str(tmp_path / "r"),
+        )
+        err = assert_one_line_usage_error(code, capsys)
+        assert err == "usage error: unknown estimator 'wat'\n"
+        assert calls == []
+        assert not (tmp_path / "r").exists()
+
+    def test_estimates_equal_direct_solver_calls(self, tmp_path, monkeypatch):
+        data_dir = generate_lattice(tmp_path)
+        seen = []
+        report = gmrfmix.cli.bias_report
+
+        def capture(q_true, s, estimates, lam):
+            seen.append((q_true, s, estimates))
+            return report(q_true, s, estimates, lam)
+
+        monkeypatch.setattr(gmrfmix.cli, "bias_report", capture)
+        code = run(
+            "bias-report", "--truth", str(data_dir / "truth.json"),
+            "--data", str(data_dir / "data.csv"), "--lambda", "0.1",
+            "--estimators", "known-support,glasso,debiased,baseline",
+            "--out-dir", str(tmp_path / "r"),
+        )
+        assert code == EXIT_OK
+        [(q_true, s, estimates)] = seen
+        lasso = glasso_solve(s, GlassoConfig(lam=0.1)).q
+        direct = {
+            "known-support": estimate_known_support(s, q_true.pattern).q,
+            "glasso": lasso,
+            "debiased": refit(s, lasso).q,
+            "baseline": dense_mle(s),
+        }
+        assert list(estimates) == list(direct)
+        for name, q in direct.items():
+            assert np.array_equal(estimates[name].dense, q.dense), name
+            assert np.array_equal(estimates[name].pattern.mask(), q.pattern.mask()), name
+
 
 class TestLambdaSweep:
     def test_happy_path(self, tmp_path):
@@ -371,6 +430,16 @@ class TestLambdaSweep:
             assert name in ("glasso", "debiased")
             assert float(nnz) >= 0.0
             assert np.isfinite(float(nll))
+
+    def test_one_glasso_solve_per_nonzero_lambda(self, tmp_path, monkeypatch):
+        data_dir = generate_lattice(tmp_path, rows=2, cols=3, samples=300, seed=3)
+        calls = count_glasso_solves(monkeypatch)
+        code = run(
+            "lambda-sweep", "--data", str(data_dir / "data.csv"),
+            "--lambda-grid", "0.0", "0.05", "0.2", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 2
 
     def test_bad_split_is_usage_error(self, tmp_path):
         data_dir = tmp_path / "lap"
@@ -467,6 +536,42 @@ class TestConfigFile:
         err = assert_one_line_usage_error(code, capsys)
         assert err == "usage error: --labels is required\n"
         assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize(
+        "cfg, argv",
+        [
+            ({"rows": [3]}, "generate --kind laplacian2d --samples 5 --out-dir {out}"),
+            ({"samples": 2.5}, "generate --kind laplacian2d --out-dir {out}"),
+            (
+                {"lam": [1]},
+                "bias-report --truth {truth} --data {data} --estimators glasso --out-dir {out}",
+            ),
+            ({"k": 2.5}, "fit --data {data} --estimator baseline --out {out}/m.json"),
+            (
+                {"estimators": ["glasso"]},
+                "bias-report --truth {truth} --data {data} --lambda 0.1 --out-dir {out}",
+            ),
+            ({"lambda_grid": "0.1"}, "lambda-sweep --data {data} --out {out}/s.csv"),
+            ({"lambda_grid": ["x"]}, "lambda-sweep --data {data} --out {out}/s.csv"),
+            (
+                {"zero_means": "no"},
+                "fit --data {data} --k 1 --estimator baseline --out {out}/m.json",
+            ),
+        ],
+        ids=["list-int", "float-int", "list-float", "float-k", "list-str", "str-list",
+             "bad-list-item", "str-switch"],
+    )
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, cfg, argv):
+        data_dir = generate_lattice(tmp_path, rows=2, cols=2, samples=50)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        paths = {"data": data_dir / "data.csv", "truth": data_dir / "truth.json", "out": out}
+        capsys.readouterr()
+        code = run("--config", str(cfg_path), *(a.format(**paths) for a in argv.split()))
+        key = next(iter(cfg))
+        assert f"config key {key!r}" in assert_one_line_usage_error(code, capsys)
+        assert not out.exists()
 
     def test_config_as_last_argument_is_usage_error(self, capsys):
         assert_one_line_usage_error(run("--config"), capsys)

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmrfmix import mixture
 from gmrfmix.errors import DegenerateInit, DimensionMismatch, EmptyComponent
@@ -360,6 +364,28 @@ class TestModelSerialization:
         model.save(str(path))
         loaded = MixtureModel.load(str(path))
         assert loaded.k == 2 and loaded.n == 2
+        for c1, c2 in zip(model.components, loaded.components):
+            assert c1.weight == c2.weight
+            assert np.array_equal(c1.mean, c2.mean)
+            assert np.array_equal(c1.precision.dense, c2.precision.dense)
+            assert c1.precision.pattern == c2.precision.pattern
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_json_roundtrip_is_exact(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.05, 1.0, size=k)
+        weights /= weights.sum()
+        components = []
+        for w in weights:
+            p = SupportPattern.from_mask(rng.random((n, n)) < 0.4)
+            vals = np.where(p.mask(), rng.standard_normal((n, n)), 0.0)
+            vals = 0.5 * (vals + vals.T)
+            q = SparseSpd(vals + np.diag(np.abs(vals).sum(axis=1) + 1.0), p)
+            components.append(GmrfComponent(float(w), rng.standard_normal(n) * 10.0, q))
+        model = MixtureModel(components)
+        loaded = MixtureModel.from_json(json.loads(json.dumps(model.to_json())))
+        assert loaded.k == k and loaded.n == n
         for c1, c2 in zip(model.components, loaded.components):
             assert c1.weight == c2.weight
             assert np.array_equal(c1.mean, c2.mean)
