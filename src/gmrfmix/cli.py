@@ -3,14 +3,15 @@
 Subcommands: generate, fit, eval, bias-report, lambda-sweep. The four
 precision estimators are named once, in ESTIMATORS; `fit`, `bias-report`
 and `lambda-sweep` build every estimate from those M-step estimators.
-`main` times each command and writes its run manifest next to its outputs;
-all randomness flows from --seed. Exit codes: 0 success, 2 usage error,
-3 I/O failure, 4 numerical failure.
+`main` makes each command's output directory, times the command and writes
+its run manifest there; all randomness flows from --seed. Exit codes:
+0 success, 2 usage error, 3 I/O failure, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -76,7 +77,6 @@ def _empirical_cov(data: np.ndarray) -> np.ndarray:
 
 
 def cmd_generate(args) -> None:
-    os.makedirs(args.out_dir, exist_ok=True)
     if args.kind == "laplacian2d":
         if args.samples is None:
             raise UsageError("--samples is required for laplacian2d")
@@ -196,7 +196,6 @@ def cmd_fit(args) -> None:
         fix_means_to_zero=args.zero_means,
     )
     model, ll_trace, _ = fit_em(data, cfg, seed=args.seed)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     model.save(args.out)
     trace_path = os.path.splitext(args.out)[0] + "_ll_trace.csv"
     write_atomic_text(trace_path, "".join(f"{v:.17g}\n" for v in ll_trace))
@@ -207,7 +206,10 @@ def cmd_fit(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    model = MixtureModel.load(args.model)
+    try:
+        model = MixtureModel.load(args.model)
+    except (KeyError, TypeError, IndexError, DimensionMismatch) as exc:
+        raise UsageError(f"--model {args.model} must hold a mixture model ({exc!r})") from exc
     data = load_dense_csv(args.data)
     labels = np.loadtxt(args.labels, dtype=int, ndmin=1)
     if labels.shape[0] != data.shape[0]:
@@ -249,7 +251,6 @@ def cmd_bias_report(args) -> None:
     names = [e.strip() for e in args.estimators.split(",") if e.strip()]
     estimates = _cold_fits(names, s, args.lam, lambda: [q_true.pattern])
     report = bias_report(q_true, s, estimates, args.lam)
-    os.makedirs(args.out_dir, exist_ok=True)
     report.save(os.path.join(args.out_dir, "bias_report.json"))
     save_eigenvalue_csv(report, os.path.join(args.out_dir, "eigenvalues.csv"))
 
@@ -427,9 +428,17 @@ def main(argv=None) -> int:
         argv = _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
         commands[args.command].check_required(args)
+        out_dir = os.path.abspath(vars(args).get("out_dir") or os.path.dirname(args.out))
+        made = not os.path.isdir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         t0 = time.monotonic()
-        args.func(args)
-        out_dir = vars(args).get("out_dir") or os.path.dirname(os.path.abspath(args.out))
+        try:
+            args.func(args)
+        except BaseException:
+            if made:  # a failed command leaves no empty output directory behind
+                with contextlib.suppress(OSError):
+                    os.rmdir(out_dir)
+            raise
         _write_manifest(out_dir, args.command, vars(args), time.monotonic() - t0)
         return EXIT_OK
     except SystemExit as exc:

@@ -101,30 +101,32 @@ def mean_relative_eigenvalue_error(true_eigs: np.ndarray, est_eigs: np.ndarray) 
     return float(np.mean(np.abs(e - t) / t))
 
 
-def kkt_sign_check(q_lam: SparseSpd, s: np.ndarray, lam: float, w: np.ndarray | None = None):
+def _kkt_signs(q_lam: SparseSpd, s: np.ndarray, lam: float):
+    """kkt_sign_check's (fraction, max residual), then the residual matrix
+    |W - S - lam * sign(Q)| (W = Q^{-1}) and the mask of the entries the
+    fraction counts."""
+    q = q_lam.dense
+    resid = np.abs(spd_inverse(q_lam) - s - lam * np.sign(q))
+    nz = (q != 0.0) & ~np.eye(q_lam.n, dtype=bool)
+    max_resid = float(np.max(resid[nz])) if np.any(nz) else 0.0
+    eligible = nz & (np.abs(s) > lam)
+    if not np.any(eligible):
+        return 1.0, max_resid, resid, eligible
+    opposed = np.sign(s[eligible]) == -np.sign(q[eligible])
+    return float(np.mean(opposed)), max_resid, resid, eligible
+
+
+def kkt_sign_check(q_lam: SparseSpd, s: np.ndarray, lam: float):
     """Sign-opposition fraction and max stationarity residual of a lasso estimate.
 
     Over off-diagonal entries with q_ij != 0 and |s_ij| > lam, counts how
     often sign(s_ij) == -sign(q_ij); also reports the max of
-    |w_ij - s_ij - lam * sign(q_ij)| over the nonzero off-diagonals. Pass
-    w = Q^{-1} when it is already at hand.
+    |w_ij - s_ij - lam * sign(q_ij)| over the nonzero off-diagonals.
     """
     if s.shape[0] != q_lam.n:
         raise DimensionMismatch("dimension mismatch")
-    q = q_lam.dense
-    if w is None:
-        w = spd_inverse(q_lam)
-    off = ~np.eye(q_lam.n, dtype=bool)
-    nz = off & (q != 0.0)
-
-    resid = 0.0
-    if np.any(nz):
-        resid = float(np.max(np.abs(w - s - lam * np.sign(q))[nz]))
-    eligible = nz & (np.abs(s) > lam)
-    if not np.any(eligible):
-        return 1.0, resid
-    opposed = np.sign(s[eligible]) == -np.sign(q[eligible])
-    return float(np.mean(opposed)), resid
+    frac, max_resid, _, _ = _kkt_signs(q_lam, s, lam)
+    return frac, max_resid
 
 
 def bias_report(
@@ -167,22 +169,13 @@ def bias_report(
             "radii": np.sum(np.where(off, np.abs(w), 0.0), axis=1).tolist(),
             "bound": (bound_in + bound_out).tolist(),
         }
-        frac, resid = kkt_sign_check(q, s, lam, w)
-        table = []
-        ii, jj = np.nonzero(np.triu(in_supp & (np.abs(s) > lam)))
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            table.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "sign_s": float(np.sign(s[i, j])),
-                    "sign_q": float(np.sign(q.dense[i, j])),
-                    "residual": float(abs(w[i, j] - s[i, j] - lam * np.sign(q.dense[i, j]))),
-                }
-            )
-        report.kkt_signs = table
+        frac, max_resid, resid, eligible = _kkt_signs(q, s, lam)
+        ii, jj = np.nonzero(np.triu(eligible))
+        columns = (ii, jj, np.sign(s[ii, jj]), np.sign(q.dense[ii, jj]), resid[ii, jj])
+        keys = ("i", "j", "sign_s", "sign_q", "residual")
+        report.kkt_signs = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
         report.gershgorin["sign_opposition_fraction"] = frac
-        report.gershgorin["max_kkt_residual"] = resid
+        report.gershgorin["max_kkt_residual"] = max_resid
     return report
 
 

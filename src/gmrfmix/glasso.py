@@ -39,18 +39,13 @@ class GlassoConfig:
     lasso_inner_iters: int = 20
     sub_tol: float = 1e-6
     prune_eps: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not 0 <= self.lam < np.inf:  # also rejects NaN
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
         if self.newton_tol <= 0 or self.sub_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not (0 < self.armijo_c < 1 and 0 < self.backtrack_factor < 1):
-            raise ValueError("armijo_c and backtrack_factor must lie in (0,1)")
-        if min(self.max_newton_iters, self.lasso_inner_iters, self.max_backtracks) < 1:
+        if min(self.max_newton_iters, self.lasso_inner_iters) < 1:
             raise ValueError("iteration counts must be >= 1")
 
 
@@ -75,20 +70,16 @@ def glasso_objective(q: SparseSpd, s: np.ndarray, cfg: GlassoConfig) -> float:
     return neg_log_likelihood(q, s) + _l1_penalty(q.dense, cfg)
 
 
-def free_set(
-    q: SparseSpd, s: np.ndarray, lam: float, w: np.ndarray | None = None
-) -> SupportPattern:
+def free_set(q: SparseSpd, s: np.ndarray, lam: float) -> SupportPattern:
     """Entries allowed to move in one proximal-Newton iteration.
 
-    Current nonzeros of Q plus entries where |S_ij - W_ij| exceeds lambda;
-    the diagonal is always included since it is unpenalized and must stay
-    free. Pass w = Q^{-1} when it is already at hand.
+    Current nonzeros of Q plus entries where |S_ij - W_ij| exceeds lambda
+    (W = Q^{-1}); the diagonal is always included since it is unpenalized
+    and must stay free.
     """
     if s.shape[0] != q.n:
         raise DimensionMismatch("covariance dimension differs from precision")
-    if w is None:
-        w = spd_inverse(q)
-    viol = np.abs(s - w) > lam
+    viol = np.abs(s - spd_inverse(q)) > lam
     return SupportPattern.from_mask((q.dense != 0.0) | viol)
 
 
@@ -101,11 +92,7 @@ def _soft(x: float, t: float) -> float:
 
 
 def lasso_newton_direction(
-    q: SparseSpd,
-    s: np.ndarray,
-    free: SupportPattern,
-    cfg: GlassoConfig,
-    w: np.ndarray | None = None,
+    q: SparseSpd, s: np.ndarray, free: SupportPattern, cfg: GlassoConfig
 ) -> np.ndarray:
     """Coordinate-descent solution of the LASSO Newton subproblem.
 
@@ -114,8 +101,7 @@ def lasso_newton_direction(
     an exact soft-threshold update; sweeps stop after lasso_inner_iters or
     when the largest coordinate change falls below sub_tol.
     """
-    if w is None:
-        w = spd_inverse(q)
+    w = spd_inverse(q)
     n = q.n
     lam = cfg.lam
     rows, cols = free.index_arrays()
@@ -221,8 +207,8 @@ def glasso_solve(
         if kkt <= cfg.newton_tol:
             converged = True
             break
-        free = free_set(q, s, cfg.lam, w=w)
-        delta = lasso_newton_direction(q, s, free, cfg, w=w)
+        free = free_set(q, s, cfg.lam)
+        delta = lasso_newton_direction(q, s, free, cfg)
 
         l1_now = _l1_penalty(q.dense, cfg)
         descent = pattern_trace(s - w, delta) + _l1_penalty(q.dense + delta, cfg) - l1_now
@@ -231,7 +217,7 @@ def glasso_solve(
             break
         _, q, f_new = armijo_spd_search(
             q, delta, free, descent, trace[-1],
-            lambda cand: glasso_objective(cand, s, cfg), cfg,
+            lambda cand: glasso_objective(cand, s, cfg),
         )
         trace.append(f_new)
         iters = t + 1

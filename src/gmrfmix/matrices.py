@@ -2,7 +2,8 @@
 
 Matrices are stored as full numpy squares; symmetry is an enforced
 invariant, not a storage format. Everything here is immutable after
-construction and safe to share across workers.
+construction and safe to share across workers, except a SparseSpd's
+dense inverse: `spd_inverse` fills it once, on first use.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import io
 import json
 import os
 import uuid
+import warnings
 
 import numpy as np
 
@@ -139,8 +141,9 @@ class SparseSpd:
 
     The lower Cholesky factor L (Q = L L^T) and the log-determinant are
     computed once at construction; `quad_form` reuses L, so it costs one
-    product with the n x n factor, O(n^2), per data point. Construction
-    fails with NotSpd when the matrix is not positive-definite.
+    product with the n x n factor, O(n^2), per data point. The dense
+    inverse is computed on the first `spd_inverse` call and kept.
+    Construction fails with NotSpd when the matrix is not positive-definite.
     """
 
     def __init__(self, matrix: np.ndarray, pattern: SupportPattern | None = None):
@@ -159,6 +162,7 @@ class SparseSpd:
         self._dense.setflags(write=False)
         self.chol = cholesky(self._dense)
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        self._inverse = None  # filled by spd_inverse
         # index arrays over the pattern (i <= j): one entry per stored value
         self.pair_rows, self.pair_cols = pattern.index_arrays()
 
@@ -213,13 +217,18 @@ class SparseSpd:
 
 
 def spd_inverse(q: SparseSpd) -> np.ndarray:
-    """Dense inverse of a pattern-sparse SPD matrix, symmetrized.
+    """Dense inverse of a pattern-sparse SPD matrix, symmetrized; read-only.
 
-    Computed by LU inversion of q.dense (np.linalg.inv); the average with
-    its transpose removes the rounding asymmetry.
+    Computed once per matrix, on the first call, by LU inversion of q.dense
+    (np.linalg.inv); the average with its transpose removes the rounding
+    asymmetry. Later calls return the same array.
     """
-    inv = np.linalg.inv(q.dense)
-    return 0.5 * (inv + inv.T)
+    if q._inverse is None:
+        inv = np.linalg.inv(q.dense)
+        inv = 0.5 * (inv + inv.T)
+        inv.setflags(write=False)
+        q._inverse = inv
+    return q._inverse
 
 
 def project_to_pattern(m: np.ndarray, pattern: SupportPattern) -> np.ndarray:
@@ -241,8 +250,12 @@ def save_dense_csv(m: np.ndarray, path: str) -> None:
 
 
 def load_dense_csv(path: str) -> np.ndarray:
-    """Load a comma-separated 2-d array; ValueError names the file on NaN or Inf."""
-    m = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """Load a comma-separated 2-d array; ValueError names the file on NaN, Inf or no data."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's empty-file warning
+        m = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if m.size == 0:
+        raise ValueError(f"{path} contains no data")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path} contains NaN or Inf values")
     return m
@@ -257,7 +270,11 @@ def write_atomic_text(path: str, text: str) -> None:
     """
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        with open(tmp, "x") as fh:
+        fh = open(tmp, "x")
+    except FileNotFoundError as exc:  # a missing directory: name the file asked for
+        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

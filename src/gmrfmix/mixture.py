@@ -141,6 +141,10 @@ class EmConfig:
             raise ValueError("K must be >= 1")
         if self.ll_tol <= 0:
             raise ValueError("ll_tol must be positive")
+        if self.max_em_iters < 1:
+            raise ValueError("max_em_iters must be >= 1")
+        if self.init not in ("random_responsibilities", "kmeans_plus_plus"):
+            raise ValueError(f"unknown init {self.init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +237,12 @@ def _init_responsibilities(data: np.ndarray, cfg: EmConfig, rng: np.random.Gener
     n_points = data.shape[0]
     if cfg.init == "random_responsibilities":
         return rng.dirichlet(np.ones(cfg.k), size=n_points)
-    if cfg.init == "kmeans_plus_plus":
-        centers = _kmeans_pp_centers(data, cfg.k, rng)
-        d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        resp = np.full((n_points, cfg.k), 1e-6)
-        resp[np.arange(n_points), labels] = 1.0
-        return resp / resp.sum(axis=1, keepdims=True)
-    raise ValueError(f"unknown init {cfg.init!r}")
+    centers = _kmeans_pp_centers(data, cfg.k, rng)  # kmeans_plus_plus
+    d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    resp = np.full((n_points, cfg.k), 1e-6)
+    resp[np.arange(n_points), labels] = 1.0
+    return resp / resp.sum(axis=1, keepdims=True)
 
 
 def _kmeans_pp_centers(data: np.ndarray, k: int, rng: np.random.Generator):

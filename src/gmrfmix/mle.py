@@ -25,6 +25,10 @@ from .matrices import (
 )
 
 RIDGE_EPS = 1e-6
+# the settings of armijo_spd_search, shared by both Newton solvers
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 40
 
 
 @dataclass
@@ -33,16 +37,11 @@ class MleConfig:
     max_outer_iters: int = 200
     pcg_tol: float = 1e-2
     max_pcg_iters: int = 200
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if self.outer_tol <= 0 or self.pcg_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not (0 < self.armijo_c < 1 and 0 < self.backtrack_factor < 1):
-            raise ValueError("armijo_c and backtrack_factor must lie in (0,1)")
-        if min(self.max_outer_iters, self.max_pcg_iters, self.max_backtracks) < 1:
+        if min(self.max_outer_iters, self.max_pcg_iters) < 1:
             raise ValueError("iteration counts must be >= 1")
 
 
@@ -132,22 +131,15 @@ def precond_weights(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
     return np.where(pattern.mask(), m, 1.0)
 
 
-def proj_pcg(
-    q: SparseSpd,
-    g: np.ndarray,
-    pattern: SupportPattern,
-    cfg: MleConfig,
-    w: np.ndarray | None = None,
-):
-    """Solve project(W Delta W) = -G over the pattern subspace by PCG.
+def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern, cfg: MleConfig):
+    """Solve project(W Delta W) = -G over the pattern subspace by PCG (W = Q^{-1}).
 
     Returns (delta, converged). Every iterate is supported on the pattern;
     the preconditioner divides residuals entrywise by precond_weights. Even
     a truncated solution is a descent direction because the operator is SPD
     on the pattern subspace.
     """
-    if w is None:
-        w = spd_inverse(q)
+    w = spd_inverse(q)
     mask = pattern.mask()
     g = np.where(mask, g, 0.0)
     m = precond_weights(w, pattern)
@@ -178,37 +170,31 @@ def proj_pcg(
 
 
 def armijo_spd_search(
-    q: SparseSpd,
-    delta: np.ndarray,
-    pattern: SupportPattern,
-    descent: float,
-    f0: float,
-    objective,
-    cfg,
+    q: SparseSpd, delta: np.ndarray, pattern: SupportPattern, descent: float, f0: float, objective
 ):
     """Backtracking line search with an SPD guard, shared by both Newton solvers.
 
     Returns (alpha, q_new, f_new) for the largest alpha in {1, beta,
-    beta^2, ...} such that Q + alpha Delta, stored on the pattern (which
-    holds the supports of Q and Delta), passes Cholesky and satisfies the
-    Armijo condition objective(q_new) <= f0 + c * alpha * descent. f0 is
-    the objective at Q and descent its directional derivative along Delta;
-    cfg supplies armijo_c, backtrack_factor and max_backtracks.
+    beta^2, ...} (beta = BACKTRACK_FACTOR, at most MAX_BACKTRACKS tries)
+    such that Q + alpha Delta, stored on the pattern (which holds the
+    supports of Q and Delta), passes Cholesky and satisfies the Armijo
+    condition objective(q_new) <= f0 + ARMIJO_C * alpha * descent. f0 is
+    the objective at Q and descent its directional derivative along Delta.
     """
     if descent >= 0.0:
         raise LineSearchFailed(f"not a descent direction (descent {descent:g})")
     alpha = 1.0
-    for _ in range(cfg.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         try:
             cand = SparseSpd(q.dense + alpha * delta, pattern)
         except NotSpd:
-            alpha *= cfg.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
             continue
         f_new = objective(cand)
-        if f_new <= f0 + cfg.armijo_c * alpha * descent:
+        if f_new <= f0 + ARMIJO_C * alpha * descent:
             return alpha, cand, f_new
-        alpha *= cfg.backtrack_factor
-    raise LineSearchFailed("no acceptable step within max_backtracks")
+        alpha *= BACKTRACK_FACTOR
+    raise LineSearchFailed(f"no acceptable step within {MAX_BACKTRACKS} backtracks")
 
 
 def default_q0(s: np.ndarray, pattern: SupportPattern) -> SparseSpd:
@@ -247,15 +233,14 @@ def estimate_known_support(
     converged = False
     iters = 0
     for t in range(cfg.max_outer_iters):
-        w = spd_inverse(q)
-        g = project_to_pattern(s - w, pattern)
+        g = project_to_pattern(s - spd_inverse(q), pattern)
         if float(np.max(np.abs(g))) <= cfg.outer_tol:
             converged = True
             break
-        delta, _ = proj_pcg(q, g, pattern, cfg, w=w)
+        delta, _ = proj_pcg(q, g, pattern, cfg)
         _, q, f_new = armijo_spd_search(
             q, delta, pattern, pattern_trace(g, delta), trace[-1],
-            lambda cand: neg_log_likelihood(cand, s), cfg,
+            lambda cand: neg_log_likelihood(cand, s),
         )
         trace.append(f_new)
         iters = t + 1

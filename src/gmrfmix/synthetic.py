@@ -39,8 +39,8 @@ class DiffusionSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be >= 1")
-        if not (0 < self.coeff_low <= self.coeff_high):
-            raise ValueError("need 0 < coeff_low <= coeff_high")
+        if not 0 < self.coeff_low <= self.coeff_high < np.inf:  # also rejects NaN
+            raise ValueError("need 0 < coeff_low <= coeff_high < inf")
 
 
 def _grid_edges(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +103,8 @@ def sample_gmrf(
     q: SparseSpd, mean: np.ndarray | None, count: int, seed=0
 ) -> np.ndarray:
     """Draw exact samples: z ~ N(0, I), solve L^T x = z, add the mean."""
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((q.n, count))
     x = solve_triangular(q.chol, z, lower=True, trans="T")
@@ -125,8 +127,10 @@ def make_clustering_dataset(
     samples_high]. All randomness is derived from the seed through a
     spawned SeedSequence per purpose, so outputs are bit-reproducible.
     """
-    if samples_low > samples_high:
-        raise ValueError("samples_low must be <= samples_high")
+    if k < 1:
+        raise ValueError(f"need k >= 1 components, got {k}")
+    if not 1 <= samples_low <= samples_high:
+        raise ValueError("need 1 <= samples_low <= samples_high")
     children = np.random.SeedSequence(seed).spawn(2 * k + 2)
     prec_seeds = children[:k]
     sample_seeds = children[k : 2 * k]

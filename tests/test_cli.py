@@ -1,14 +1,22 @@
+import contextlib
+import functools
+import io
 import json
 import os
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gmrfmix.cli
-from gmrfmix.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from gmrfmix.cli import ESTIMATORS, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from gmrfmix.glasso import GlassoConfig, glasso_solve, refit
 from gmrfmix.matrices import SparseSpd, load_dense_csv
-from gmrfmix.mixture import MixtureModel
+from gmrfmix.mixture import EmConfig, MixtureModel
 from gmrfmix.mle import dense_mle, estimate_known_support
 
 
@@ -598,3 +606,182 @@ class TestNumericFailures:
             "--out", str(tmp_path / "m.json"),
         )
         assert code == EXIT_NUMERIC
+
+
+class TestOutputDirectories:
+    def test_eval_and_sweep_create_a_missing_directory(self, tmp_path):
+        data = generate_mixture(tmp_path)
+        model = tmp_path / "fit" / "model.json"
+        assert run(
+            "fit", "--data", str(data / "data.csv"), "--k", "2", "--estimator", "baseline",
+            "--out", str(model),
+        ) == EXIT_OK
+        metrics = tmp_path / "runs" / "eval" / "metrics.json"
+        assert run(
+            "eval", "--model", str(model), "--data", str(data / "data.csv"),
+            "--labels", str(data / "labels.csv"), "--out", str(metrics),
+        ) == EXIT_OK
+        sweep = tmp_path / "runs" / "missing" / "sweep.csv"
+        assert run(
+            "lambda-sweep", "--data", str(data / "data.csv"), "--lambda-grid", "0.1",
+            "--out", str(sweep),
+        ) == EXIT_OK
+        for path, command in ((metrics, "eval"), (sweep, "lambda-sweep")):
+            assert path.exists()
+            assert (path.parent / f"manifest-{command}.json").exists()
+
+    def test_directory_that_cannot_be_made_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        data = generate_mixture(tmp_path)
+        capsys.readouterr()
+        code = run(
+            "lambda-sweep", "--data", str(data / "data.csv"), "--lambda-grid", "0.1",
+            "--out", str(blocker / "sweep.csv"),
+        )
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+
+
+class TestNonFiniteAndMalformedInput:
+    def test_infinite_diffusion_coefficient(self, tmp_path, capsys):
+        code = run(
+            "generate", "--kind", "diffusion-mixture", "--k", "2", "--rows", "2", "--cols", "2",
+            "--samples-range", "20", "30", "--coeff-high", "inf",
+            "--out-dir", str(tmp_path / "d"),
+        )
+        assert "coeff_high" in assert_one_line_usage_error(code, capsys)
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_fit_lambda_must_be_finite(self, tmp_path, capsys, lam):
+        data = generate_mixture(tmp_path)
+        capsys.readouterr()
+        code = run(
+            "fit", "--data", str(data / "data.csv"), "--k", "1", "--estimator", "glasso",
+            "--lambda", lam, "--out", str(tmp_path / "m.json"),
+        )
+        assert "lambda must be finite" in assert_one_line_usage_error(code, capsys)
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_sweep_lambda_must_be_finite(self, tmp_path, capsys, lam):
+        data = generate_mixture(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "lambda-sweep", "--data", str(data / "data.csv"), "--lambda-grid", "0.1", lam,
+            "--out", str(out),
+        )
+        assert "lambda must be finite" in assert_one_line_usage_error(code, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda data: {},
+            lambda data: {"components": [{"weight": 1.0}]},
+            lambda data: json.loads((data / "truth.json").read_text()),
+        ],
+        ids=["empty", "weight-only", "truth-list"],
+    )
+    def test_eval_model_of_other_shape_is_usage_error(self, tmp_path, capsys, make):
+        data = generate_mixture(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(make(data)))
+        capsys.readouterr()
+        code = run(
+            "eval", "--model", str(model), "--data", str(data / "data.csv"),
+            "--labels", str(data / "labels.csv"), "--out", str(tmp_path / "m.json"),
+        )
+        assert str(model) in assert_one_line_usage_error(code, capsys)
+
+
+# Command-line values as the fuzz test passes them. Scalars go as --flag=value,
+# so that a value such as "-inf" is not read as a flag; list items are
+# limited to forms argparse takes as negative numbers.
+REAL_TEXT = st.one_of(
+    st.sampled_from(["0", "nan", "inf", "-inf", "1e-300", "1e300"]),
+    st.floats(-1.0, 3.0).map(lambda x: f"{x:.4f}"),
+)
+GRID_TEXT = st.one_of(
+    st.sampled_from(["0", "nan", "inf", "1e300"]),
+    st.floats(-1.0, 3.0).map(lambda x: f"{x:.4f}"),
+)
+
+
+def run_quietly(*argv):
+    """(exit code, stderr lines) of one in-process CLI run, warnings counted as lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERIC), (argv, code, lines)
+    assert len(lines) <= 1, (argv, lines)
+    return code
+
+
+class TestCliFuzz:
+    """generate, fit, eval and lambda-sweep on small random flag values.
+
+    Every run exits 0, 2, 3 or 4 with at most one stderr line and no
+    traceback. Sizes stay small (at most 36 variables and 60 samples per
+    component) and fit's EM is capped at 3 iterations, so no case is slow
+    or allocates a large array.
+    """
+
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        kind=st.sampled_from(["laplacian2d", "diffusion-mixture"]),
+        rows=st.integers(-2, 6),
+        cols=st.integers(-2, 6),
+        k=st.integers(-1, 4),
+        samples=st.integers(-2, 60),
+        samples_range=st.one_of(
+            st.tuples(st.integers(1, 30), st.integers(30, 60)),
+            st.tuples(st.integers(-2, 60), st.integers(-2, 60)),
+        ),
+        coeffs=st.one_of(st.just(("0.1", "1.0")), st.tuples(REAL_TEXT, REAL_TEXT)),
+        estimator=st.sampled_from(list(ESTIMATORS)),
+        lam=st.one_of(st.none(), st.just("0.3"), REAL_TEXT),
+        grid=st.lists(GRID_TEXT, min_size=1, max_size=3),
+        split=st.one_of(st.just("0.8"), st.floats(-0.5, 1.5).map(lambda x: f"{x:.3f}")),
+        seed=st.integers(0, 3),
+    )
+    def test_exit_codes_and_messages(
+        self, kind, rows, cols, k, samples, samples_range, coeffs, estimator, lam, grid,
+        split, seed,
+    ):
+        capped = functools.partial(EmConfig, max_em_iters=3)
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            mock.patch.object(gmrfmix.cli, "EmConfig", capped),
+        ):
+            d = os.path.join(tmp, "data")
+            run_quietly(
+                "generate", f"--kind={kind}", f"--rows={rows}", f"--cols={cols}", f"--k={k}",
+                f"--samples={samples}", "--samples-range", *samples_range,
+                f"--coeff-low={coeffs[0]}", f"--coeff-high={coeffs[1]}", f"--seed={seed}",
+                f"--out-dir={d}",
+            )
+            data = os.path.join(d, "data.csv")
+            model = os.path.join(tmp, "fit", "model.json")
+            extra = [] if lam is None else [f"--lambda={lam}"]
+            if estimator == "known-support":
+                extra.append(f"--support={os.path.join(d, 'truth.json')}")
+            run_quietly(
+                "fit", f"--data={data}", f"--k={k}", f"--estimator={estimator}", *extra,
+                f"--seed={seed}", f"--out={model}",
+            )
+            run_quietly(
+                "eval", f"--model={model}", f"--data={data}",
+                f"--labels={os.path.join(d, 'labels.csv')}",
+                f"--out={os.path.join(tmp, 'eval', 'metrics.json')}",
+            )
+            run_quietly(
+                "lambda-sweep", f"--data={data}", "--lambda-grid", *grid, f"--split={split}",
+                f"--seed={seed}", f"--out={os.path.join(tmp, 'sweep', 'sweep.csv')}",
+            )

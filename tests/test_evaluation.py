@@ -253,6 +253,33 @@ class TestBiasReport:
             assert res.q.dense[i, j] != 0.0
             assert row["residual"] <= 10 * cfg.newton_tol
 
+    def test_sign_table_matches_entrywise_reference(self):
+        # a glasso iterate stopped early, so the residuals are far from zero
+        q_true = laplacian2d_precision(LatticeSpec(3, 3))
+        x = sample_gmrf(q_true, None, 60, seed=3)
+        s = 0.5 * (x.T @ x + (x.T @ x).T) / x.shape[0]
+        lam = 0.1
+        q = glasso_solve(s, GlassoConfig(lam=lam, max_newton_iters=2)).q
+        report = bias_report(q_true, s, {"glasso": q}, lam=lam)
+        w = np.linalg.inv(q.dense)
+        w = 0.5 * (w + w.T)
+        reference = [
+            {
+                "i": i,
+                "j": j,
+                "sign_s": float(np.sign(s[i, j])),
+                "sign_q": float(np.sign(q.dense[i, j])),
+                "residual": float(abs(w[i, j] - s[i, j] - lam * np.sign(q.dense[i, j]))),
+            }
+            for i in range(q.n)
+            for j in range(i + 1, q.n)
+            if q.dense[i, j] != 0.0 and abs(s[i, j]) > lam
+        ]
+        assert reference and report.kkt_signs == reference
+        frac, resid = kkt_sign_check(q, s, lam)
+        assert report.gershgorin["sign_opposition_fraction"] == frac
+        assert report.gershgorin["max_kkt_residual"] == resid
+
     def test_dimension_mismatch(self):
         q = SparseSpd(np.eye(2))
         with pytest.raises(DimensionMismatch):

@@ -72,12 +72,6 @@ class TestFreeSet:
         f = free_set(q, np.eye(3), lam=100.0)
         assert (0, 2) in f
 
-    def test_given_inverse_gives_same_set(self):
-        rng = np.random.default_rng(15)
-        q = random_sparse_spd(6, rng)
-        s = random_cov(6, rng)
-        assert free_set(q, s, 0.2, w=spd_inverse(q)) == free_set(q, s, 0.2)
-
 
 class TestLassoDirection:
     def test_already_optimal_scalar(self):
@@ -284,16 +278,7 @@ def test_entry_points_reject_asymmetric_covariance(solve):
         solve(s)
 
 
-@pytest.mark.parametrize("config", [MleConfig, GlassoConfig])
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ({"backtrack_factor": 2.0}, "must lie in"),
-        ({"armijo_c": 0.0}, "must lie in"),
-        ({"max_backtracks": 0}, "iteration counts"),
-    ],
-    ids=["backtrack_factor", "armijo_c", "max_backtracks"],
-)
-def test_configs_reject_bad_line_search_settings(config, bad, message):
-    with pytest.raises(ValueError, match=message):
-        config(**bad)
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_config_rejects_lambda_that_is_not_finite_and_non_negative(lam):
+    with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+        GlassoConfig(lam=lam)

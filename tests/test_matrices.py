@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,17 @@ class TestSpdInverse:
         inv = SparseSpd(spd_inverse(q), SupportPattern.full(6))
         assert np.max(np.abs(spd_inverse(inv) - m)) < 1e-8
 
+    def test_computed_once_and_read_only(self, monkeypatch):
+        q = SparseSpd(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(1) or inv(m))
+        first = spd_inverse(q)
+        assert spd_inverse(q) is first and spd_inverse(q) is first
+        assert len(calls) == 1
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
 
 class TestProjectToPattern:
     def test_full_pattern_is_identity_map(self):
@@ -322,6 +334,15 @@ def test_dense_csv_roundtrip(tmp_path):
     assert np.array_equal(load_dense_csv(str(path)), m)
 
 
+def test_csv_without_data_is_value_error_naming_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's empty-file warning must not escape
+        with pytest.raises(ValueError, match=f"{path} contains no data"):
+            load_dense_csv(str(path))
+
+
 def test_failed_atomic_write_keeps_target_and_leaves_no_temp(tmp_path, monkeypatch):
     path = tmp_path / "out.json"
     write_atomic_text(str(path), "old")
@@ -334,3 +355,11 @@ def test_failed_atomic_write_keeps_target_and_leaves_no_temp(tmp_path, monkeypat
         write_atomic_text(str(path), "new")
     assert path.read_text() == "old"
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_atomic_write_into_missing_directory_names_the_target(tmp_path):
+    path = tmp_path / "missing" / "out.json"
+    with pytest.raises(FileNotFoundError) as info:
+        write_atomic_text(str(path), "text")
+    assert info.value.filename == str(path)
+    assert ".tmp" not in str(info.value)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gmrfmix import mixture
@@ -23,6 +23,8 @@ from gmrfmix.mixture import (
     weighted_stats,
 )
 from gmrfmix.glasso import GlassoConfig
+from gmrfmix.errors import NotSpd, SingularCovariance
+from gmrfmix.mle import dense_mle
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -191,6 +193,58 @@ class TestMStep:
         _, s, _ = weighted_stats(data, w, 0)
         # with a diagonal pattern the solution decouples to 1/s_ii
         assert np.allclose(q, np.diag(1.0 / np.diag(s)), atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"k": 0}, "K must be"),
+        ({"ll_tol": 0.0}, "ll_tol must be positive"),
+        ({"max_em_iters": 0}, "max_em_iters must be"),
+        ({"init": "kmeans"}, "unknown init"),
+    ],
+    ids=["k", "ll_tol", "max_em_iters", "init"],
+)
+def test_em_config_rejects_bad_settings(bad, message):
+    with pytest.raises(ValueError, match=message):
+        EmConfig(**bad)
+
+
+class ExactBaseline:
+    """The baseline M-step S^{-1} without its ridge floor, so every M-step is exact."""
+
+    def fit(self, s, warm, k):
+        return dense_mle(s, ridge=False)
+
+
+class TestEmMonotonicity:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(2, 5),
+        st.integers(10, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_exact_m_step_never_lowers_the_log_likelihood(self, k, n, per_dim, seed):
+        """EM with the exact M-step cannot lower the total log-likelihood.
+
+        Each of the k clusters has per_dim * n points (at least 10 n). A
+        component that collapses onto too few points has no exact M-step
+        (its covariance, or the inverse of it, is not numerically SPD);
+        such examples are discarded.
+        """
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for _ in range(k):
+            mix = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+            blocks.append(rng.standard_normal((per_dim * n, n)) @ mix + rng.normal(0.0, 3.0, n))
+        cfg = EmConfig(estimator=ExactBaseline(), k=k, max_em_iters=50)
+        try:
+            _, trace, _ = fit_em(np.vstack(blocks), cfg, seed=seed)
+        except (SingularCovariance, NotSpd, np.linalg.LinAlgError):
+            assume(False)
+        trace = np.asarray(trace)
+        assert np.all(trace[1:] >= trace[:-1] - 1e-9 * np.abs(trace[:-1])), trace
 
 
 class TestFitEm:

@@ -195,7 +195,7 @@ class TestProjPcg:
         g = project_to_pattern(0.5 * (a + a.T) + np.eye(8), pattern)
         cfg = MleConfig(pcg_tol=1e-3)
         w = spd_inverse(q)
-        delta, ok = proj_pcg(q, g, pattern, cfg, w=w)
+        delta, ok = proj_pcg(q, g, pattern, cfg)
         assert ok
         resid = hessian_apply(w, delta, pattern) + g
         assert np.linalg.norm(resid) <= cfg.pcg_tol * np.linalg.norm(g)
@@ -205,7 +205,7 @@ def nll_search(q, s, g, delta, pattern=None):
     """The known-support MLE's call of the shared line search."""
     return armijo_spd_search(
         q, delta, q.pattern if pattern is None else pattern, pattern_trace(g, delta),
-        neg_log_likelihood(q, s), lambda cand: neg_log_likelihood(cand, s), MleConfig(),
+        neg_log_likelihood(q, s), lambda cand: neg_log_likelihood(cand, s),
     )
 
 

@@ -122,6 +122,15 @@ class TestDiffusionPrecision:
         with pytest.raises(ValueError):
             DiffusionSpec(2, 2, coeff_low=0.5, coeff_high=0.4)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(0.1, np.inf), (np.inf, np.inf), (np.nan, 1.0), (0.1, np.nan)],
+        ids=["high-inf", "both-inf", "low-nan", "high-nan"],
+    )
+    def test_coefficients_must_be_finite(self, low, high):
+        with pytest.raises(ValueError, match="< inf"):
+            DiffusionSpec(2, 2, coeff_low=low, coeff_high=high)
+
 
 class TestSampleGmrf:
     def test_shape_and_mean_shift(self):
@@ -152,8 +161,28 @@ class TestSampleGmrf:
         assert np.array_equal(sample_gmrf(q, None, 5, seed=3), sample_gmrf(q, None, 5, seed=3))
         assert not np.array_equal(sample_gmrf(q, None, 5, seed=3), sample_gmrf(q, None, 5, seed=4))
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_must_be_positive(self, count):
+        q = laplacian2d_precision(LatticeSpec(2, 2))
+        with pytest.raises(ValueError, match="sample count must be >= 1"):
+            sample_gmrf(q, None, count)
+
 
 class TestMakeClusteringDataset:
+    @pytest.mark.parametrize(
+        "k, low, high, message",
+        [
+            (0, 5, 5, "k >= 1"),
+            (-1, 5, 5, "k >= 1"),
+            (2, 0, 5, "1 <= samples_low"),
+            (2, 6, 5, "1 <= samples_low"),
+        ],
+        ids=["k0", "k-1", "low0", "low-above-high"],
+    )
+    def test_bad_counts_rejected(self, k, low, high, message):
+        with pytest.raises(ValueError, match=message):
+            make_clustering_dataset(k, DiffusionSpec(2, 2), low, high)
+
     def test_shapes_and_counts(self):
         data, labels, precs = make_clustering_dataset(
             3, DiffusionSpec(2, 2), samples_low=20, samples_high=30, seed=0
