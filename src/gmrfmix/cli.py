@@ -66,6 +66,24 @@ def _write_manifest(out_dir: str, command: str, config: dict, duration: float):
     write_atomic_text(path, json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _read_json_input(flag: str, path: str, parse):
+    """parse(obj) of the JSON in the file given as flag; a malformed file is one
+    UsageError naming the flag and the path. NotSpd is not a malformed file."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    try:
+        return parse(obj)
+    except KeyError as exc:
+        raise UsageError(f"{flag} {path}: missing key {exc}") from exc
+    except (LookupError, TypeError, ValueError, DimensionMismatch) as exc:
+        raise UsageError(f"{flag} {path}: {exc}") from exc
+
+
+def _check_columns(flag: str, path: str, n: int, columns: int) -> None:
+    if n != columns:
+        raise UsageError(f"{flag} {path}: n={n} but data has {columns} columns")
+
+
 def _empirical_cov(data: np.ndarray) -> np.ndarray:
     """Zero-mean (1/N) covariance of the rows."""
     s = data.T @ data / data.shape[0]
@@ -117,22 +135,15 @@ def cmd_generate(args) -> None:
 
 def _load_support(path: str, n: int, k: int) -> list[SupportPattern]:
     """Patterns from a SparseSpd JSON object or a list of them (one, or one per component)."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    objs = obj if isinstance(obj, list) else [obj]
-    try:
-        patterns = [
-            SupportPattern(o["n"], [(i, j) for i, j, _ in o["triplets"]]) for o in objs
-        ]
-    except KeyError as exc:
-        raise UsageError(f"--support {path}: missing key {exc}") from exc
-    except (TypeError, ValueError, DimensionMismatch) as exc:
-        raise UsageError(f"--support {path}: {exc}") from exc
+
+    def parse(obj):
+        return [SupportPattern.from_json(o) for o in (obj if isinstance(obj, list) else [obj])]
+
+    patterns = _read_json_input("--support", path, parse)
     if not patterns or 1 < len(patterns) < k:
         raise UsageError(f"--support {path}: need 1 pattern or at least {k}, got {len(patterns)}")
     for pattern in patterns:
-        if pattern.n != n:
-            raise UsageError(f"--support {path}: pattern n={pattern.n} but data has {n} columns")
+        _check_columns("--support", path, pattern.n, n)
     return patterns
 
 
@@ -206,11 +217,9 @@ def cmd_fit(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    try:
-        model = MixtureModel.load(args.model)
-    except (KeyError, TypeError, IndexError, DimensionMismatch) as exc:
-        raise UsageError(f"--model {args.model} must hold a mixture model ({exc!r})") from exc
+    model = _read_json_input("--model", args.model, MixtureModel.from_json)
     data = load_dense_csv(args.data)
+    _check_columns("--model", args.model, model.n, data.shape[1])
     labels = np.loadtxt(args.labels, dtype=int, ndmin=1)
     if labels.shape[0] != data.shape[0]:
         raise UsageError(
@@ -234,19 +243,19 @@ def cmd_eval(args) -> None:
 
 def _load_truth(path: str) -> SparseSpd:
     """One precision from a SparseSpd JSON object or a one-element list of them."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, list) and len(obj) == 1:
-        obj = obj[0]
-    try:
-        return SparseSpd.from_json(obj)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise UsageError(f"--truth {path} must hold exactly one precision") from exc
+
+    def parse(obj):
+        if isinstance(obj, list) and len(obj) != 1:
+            raise ValueError(f"expected one precision, got a list of {len(obj)}")
+        return SparseSpd.from_json(obj[0] if isinstance(obj, list) else obj)
+
+    return _read_json_input("--truth", path, parse)
 
 
 def cmd_bias_report(args) -> None:
     q_true = _load_truth(args.truth)
     data = load_dense_csv(args.data)
+    _check_columns("--truth", args.truth, q_true.n, data.shape[1])
     s = _empirical_cov(data)
     names = [e.strip() for e in args.estimators.split(",") if e.strip()]
     estimates = _cold_fits(names, s, args.lam, lambda: [q_true.pattern])
@@ -287,11 +296,11 @@ def cmd_lambda_sweep(args) -> None:
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """Subcommand parser that records the action of each flag a config file may set.
+    """Parser that records the action of each flag a config file may set.
 
     Flags declared required=True are recorded too, not handed to argparse,
     so that a config file can supply them; `check_required` runs after the
-    merge.
+    merge. A parse error is one UsageError line, not a usage block and exit.
     """
 
     def __init__(self, *args, **kwargs):
@@ -307,6 +316,9 @@ class _CommandParser(argparse.ArgumentParser):
             self.required[action.dest] = action.option_strings[0]
         return action
 
+    def error(self, message):
+        raise UsageError(message)
+
     def check_required(self, args) -> None:
         for dest, flag in self.required.items():
             if getattr(args, dest) is None:
@@ -315,9 +327,7 @@ class _CommandParser(argparse.ArgumentParser):
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
     """The gmrfmix parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
-        prog="gmrfmix", description="GMRF mixture estimation pipelines"
-    )
+    parser = _CommandParser(prog="gmrfmix", description="GMRF mixture estimation pipelines")
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 

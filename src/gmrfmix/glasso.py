@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .matrices import SparseSpd, SupportPattern, check_symmetric, spd_inverse
 from .mle import (
     MleConfig,
@@ -77,8 +76,6 @@ def free_set(q: SparseSpd, s: np.ndarray, lam: float) -> SupportPattern:
     (W = Q^{-1}); the diagonal is always included since it is unpenalized
     and must stay free.
     """
-    if s.shape[0] != q.n:
-        raise DimensionMismatch("covariance dimension differs from precision")
     viol = np.abs(s - spd_inverse(q)) > lam
     return SupportPattern.from_mask((q.dense != 0.0) | viol)
 
@@ -183,8 +180,7 @@ def kkt_residual(q: np.ndarray, w: np.ndarray, s: np.ndarray, cfg: GlassoConfig)
 def _prune(q: np.ndarray, eps: float) -> SparseSpd:
     kept = np.abs(q) > eps
     np.fill_diagonal(kept, True)
-    pattern = SupportPattern.from_mask(kept)
-    return SparseSpd(np.where(kept, q, 0.0), pattern)
+    return SparseSpd._stored(np.where(kept, q, 0.0), SupportPattern.from_mask(kept))
 
 
 def glasso_solve(
@@ -193,12 +189,12 @@ def glasso_solve(
     """Proximal-Newton graphical lasso.
 
     Converged when the KKT max-violation drops below newton_tol. The result
-    pattern has numerically-zero entries pruned (diagonal always kept).
+    pattern has numerically-zero entries pruned (diagonal always kept), and
+    its kkt_residual is that of the pruned estimate, converged or not.
     """
     s = check_symmetric(s)
     q = q0 if q0 is not None else default_q0(s, SupportPattern.diagonal(s.shape[0]))
     trace = [glasso_objective(q, s, cfg)]
-    kkt = np.inf
     converged = False
     iters = 0
     for t in range(cfg.max_newton_iters):
@@ -223,13 +219,10 @@ def glasso_solve(
         iters = t + 1
 
     result_q = _prune(q.dense, cfg.prune_eps)
-    if converged:
-        # recompute against the pruned iterate so the reported residual is honest
-        kkt = kkt_residual(result_q.dense, spd_inverse(result_q), s, cfg)
     return GlassoResult(
         q=result_q,
         objective_trace=trace,
-        kkt_residual=float(kkt),
+        kkt_residual=kkt_residual(result_q.dense, spd_inverse(result_q), s, cfg),
         converged=converged,
         iterations=iters,
     )

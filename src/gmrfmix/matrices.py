@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import uuid
@@ -99,10 +100,10 @@ class SupportPattern:
         return pattern
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, eps: float = 0.0) -> "SupportPattern":
-        """Support of the entries of m with magnitude strictly above eps."""
-        m = check_symmetric(m)
-        return cls.from_mask(np.abs(m) > eps)
+    def from_json(cls, obj) -> "SupportPattern":
+        """Pattern of the pairs of a SparseSpd JSON object; its values must be finite too."""
+        n, ij, _ = _read_triplets(obj)
+        return cls(n, ij)
 
     def mask(self) -> np.ndarray:
         """Boolean n x n mask (symmetric, diagonal set); read-only."""
@@ -148,23 +149,34 @@ class SparseSpd:
 
     def __init__(self, matrix: np.ndarray, pattern: SupportPattern | None = None):
         matrix = check_symmetric(matrix)
-        n = matrix.shape[0]
         if pattern is None:
             pattern = SupportPattern.from_mask(matrix != 0.0)
-        if pattern.n != n:
+        if pattern.n != matrix.shape[0]:
             raise DimensionMismatch("pattern dimension differs from matrix")
         off = matrix[~pattern.mask()]
         if off.size and np.any(off != 0.0):
             raise DimensionMismatch("matrix has nonzeros outside the pattern")
+        self._store(matrix.copy(), pattern)
+
+    def _store(self, matrix: np.ndarray, pattern: SupportPattern) -> None:
+        """Keep the matrix (not copied; made read-only) and its Cholesky factor."""
+        matrix.setflags(write=False)
         self.pattern = pattern
-        self.n = n
-        self._dense = matrix.copy()
-        self._dense.setflags(write=False)
-        self.chol = cholesky(self._dense)
+        self.n = pattern.n
+        self._dense = matrix
+        self.chol = cholesky(matrix)
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
         self._inverse = None  # filled by spd_inverse
         # index arrays over the pattern (i <= j): one entry per stored value
         self.pair_rows, self.pair_cols = pattern.index_arrays()
+
+    @classmethod
+    def _stored(cls, matrix: np.ndarray, pattern: SupportPattern) -> "SparseSpd":
+        """A float64 matrix the package built symmetric and on the pattern: __init__'s
+        checks are skipped, the Cholesky factorization (NotSpd) is not."""
+        q = cls.__new__(cls)
+        q._store(matrix, pattern)
+        return q
 
     @property
     def dense(self) -> np.ndarray:
@@ -196,16 +208,13 @@ class SparseSpd:
         return {"n": self.n, "triplets": list(map(list, zip(*fields)))}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SparseSpd":
-        n = int(obj["n"])
-        trips = np.array(obj["triplets"], dtype=np.float64)
-        trips = trips.reshape(len(trips), 3)
-        ij = trips[:, :2].astype(np.intp)
-        pattern = SupportPattern(n, ij)
+    def from_json(cls, obj) -> "SparseSpd":
+        """The matrix of a to_json object, each triplet setting (i, j) and (j, i)."""
+        n, ij, values = _read_triplets(obj)
         lo, hi = ij.min(axis=1), ij.max(axis=1)
         m = np.zeros((n, n))
-        m[lo, hi] = m[hi, lo] = trips[:, 2]
-        return cls(m, pattern)
+        m[lo, hi] = m[hi, lo] = values
+        return cls._stored(m, SupportPattern(n, ij))
 
     def save(self, path: str) -> None:
         write_atomic_text(path, json.dumps(self.to_json()))
@@ -214,6 +223,38 @@ class SparseSpd:
     def load(cls, path: str) -> "SparseSpd":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _read_triplets(obj) -> tuple[int, np.ndarray, np.ndarray]:
+    """n, the (m, 2) integer pairs and the m values of {"n": n, "triplets": [[i, j, value], ...]}.
+
+    The one reader of the format SparseSpd.to_json writes. ValueError unless
+    n is a JSON integer >= 1 and each triplet is three JSON numbers: integers
+    i and j in [0, n), and a finite value.
+    """
+    if not isinstance(obj, dict) or not {"n", "triplets"} <= obj.keys():
+        raise ValueError('expected an object with keys "n" and "triplets"')
+    n, trips = obj["n"], obj["triplets"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f'"n" must be an integer >= 1, got {json.dumps(n)}')
+    if type(trips) is not list or not (
+        set(map(type, trips)) <= {list}
+        and set(map(len, trips)) <= {3}
+        and set(map(type, itertools.chain.from_iterable(trips))) <= {int, float}
+    ):
+        raise ValueError('"triplets" must be a list of [i, j, value] lists of numbers')
+    try:
+        trips = np.array(trips, dtype=np.float64).reshape(len(trips), 3)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError('"triplets" holds a number too large for a float') from None
+    ij = trips[:, :2]
+    bad = np.any((ij != np.floor(ij)) | (ij < 0) | (ij >= n), axis=1) | ~np.isfinite(trips[:, 2])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"triplet {k} {trips[k].tolist()}: need integers i, j in [0, {n}) and a finite value"
+        )
+    return n, ij.astype(np.intp), trips[:, 2]
 
 
 def spd_inverse(q: SparseSpd) -> np.ndarray:

@@ -29,7 +29,7 @@ class GmrfComponent:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
-        if self.weight <= 0:
+        if not self.weight > 0:  # also rejects NaN
             raise ValueError("component weight must be positive")
         if self.mean.shape != (self.precision.n,):
             raise DimensionMismatch("mean length differs from precision dimension")
@@ -65,6 +65,7 @@ class MixtureModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MixtureModel":
+        """The model of a to_json object; weights and means must be finite."""
         comps = [
             GmrfComponent(
                 weight=float(c["weight"]),
@@ -73,6 +74,8 @@ class MixtureModel:
             )
             for c in obj["components"]
         ]
+        if not all(np.isfinite(c.weight) and np.all(np.isfinite(c.mean)) for c in comps):
+            raise ValueError("component weights and means must be finite")
         return cls(comps)
 
     def save(self, path: str) -> None:

@@ -51,6 +51,7 @@ class MleResult:
     objective_trace: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    grad_max: float = np.inf  # max-abs projected gradient at q, the certificate
 
 
 def pattern_trace(a: np.ndarray, b: np.ndarray) -> float:
@@ -85,10 +86,11 @@ def dense_mle(s: np.ndarray, ridge: bool = True) -> SparseSpd:
     """Closed-form MLE S^{-1} on the full pattern.
 
     When S itself fails Cholesky and ridge is enabled, a tiny multiple of
-    mean(diag S) is added to the diagonal before inverting.
+    mean(diag S) is added to the diagonal before inverting. An S that
+    passes Cholesky but is numerically singular raises SingularCovariance.
     """
-    s = check_symmetric(s)
-    full = SupportPattern.full(s.shape[0])
+    s = np.asarray(s, dtype=np.float64)
+    full = SupportPattern.full(len(s))
     try:
         s_spd = SparseSpd(s, full)
     except NotSpd:
@@ -100,7 +102,10 @@ def dense_mle(s: np.ndarray, ridge: bool = True) -> SparseSpd:
             raise SingularCovariance(
                 "empirical covariance is not SPD even after the ridge floor"
             ) from exc
-    return SparseSpd(spd_inverse(s_spd), full)
+    try:
+        return SparseSpd._stored(spd_inverse(s_spd), full)
+    except (np.linalg.LinAlgError, NotSpd) as exc:
+        raise SingularCovariance(f"empirical covariance is numerically singular ({exc})") from exc
 
 
 def hessian_apply(
@@ -110,8 +115,6 @@ def hessian_apply(
 
     The n^2 x n^2 Hessian W (x) W is never materialized.
     """
-    if w.shape[0] != pattern.n or delta.shape != w.shape:
-        raise DimensionMismatch("operand dimensions differ")
     wdw = w @ delta @ w
     # the product is symmetric in exact arithmetic; enforce it so rounding
     # noise cannot accumulate across PCG iterations
@@ -180,13 +183,18 @@ def armijo_spd_search(
     supports of Q and Delta), passes Cholesky and satisfies the Armijo
     condition objective(q_new) <= f0 + ARMIJO_C * alpha * descent. f0 is
     the objective at Q and descent its directional derivative along Delta.
+    Q and Delta are checked against the pattern once, here, so that every
+    candidate lies on it without a check of its own.
     """
     if descent >= 0.0:
         raise LineSearchFailed(f"not a descent direction (descent {descent:g})")
+    off = ~pattern.mask()
+    if np.any(q.dense[off]) or np.any(delta[off]):
+        raise DimensionMismatch("Q or Delta has nonzeros outside the pattern")
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
         try:
-            cand = SparseSpd(q.dense + alpha * delta, pattern)
+            cand = SparseSpd._stored(q.dense + alpha * delta, pattern)
         except NotSpd:
             alpha *= BACKTRACK_FACTOR
             continue
@@ -204,7 +212,7 @@ def default_q0(s: np.ndarray, pattern: SupportPattern) -> SparseSpd:
     d = np.maximum(d, floor)
     if np.any(d <= 0.0):
         raise SingularCovariance("covariance diagonal is not positive")
-    return SparseSpd(np.diag(1.0 / d), pattern)
+    return SparseSpd._stored(np.diag(1.0 / d), pattern)
 
 
 def estimate_known_support(
@@ -216,7 +224,9 @@ def estimate_known_support(
     """Projected Newton estimation of Q subject to Supp(Q) within the pattern.
 
     Stops when the max-abs of the projected gradient drops below
-    cfg.outer_tol (only pattern entries are free variables).
+    cfg.outer_tol (only pattern entries are free variables) or after
+    cfg.max_outer_iters Newton steps; either way the result's grad_max is
+    that of the returned q.
     """
     s = check_symmetric(s)
     cfg = cfg or MleConfig()
@@ -227,15 +237,13 @@ def estimate_known_support(
     else:
         if not q0.pattern.issubset(pattern):
             raise DimensionMismatch("q0 support is not contained in the pattern")
-        q = SparseSpd(q0.dense, pattern) if q0.pattern != pattern else q0
+        q = SparseSpd._stored(q0.dense, pattern) if q0.pattern != pattern else q0
 
     trace = [neg_log_likelihood(q, s)]
-    converged = False
-    iters = 0
-    for t in range(cfg.max_outer_iters):
+    for iters in range(cfg.max_outer_iters + 1):
         g = project_to_pattern(s - spd_inverse(q), pattern)
-        if float(np.max(np.abs(g))) <= cfg.outer_tol:
-            converged = True
+        grad_max = float(np.max(np.abs(g)))
+        if grad_max <= cfg.outer_tol or iters == cfg.max_outer_iters:
             break
         delta, _ = proj_pcg(q, g, pattern, cfg)
         _, q, f_new = armijo_spd_search(
@@ -243,5 +251,7 @@ def estimate_known_support(
             lambda cand: neg_log_likelihood(cand, s),
         )
         trace.append(f_new)
-        iters = t + 1
-    return MleResult(q=q, objective_trace=trace, converged=converged, iterations=iters)
+    return MleResult(
+        q=q, objective_trace=trace, converged=grad_max <= cfg.outer_tol, iterations=iters,
+        grad_max=grad_max,
+    )

@@ -69,7 +69,7 @@ def laplacian2d_precision(spec: LatticeSpec) -> SparseSpd:
     q = 4.0 * np.eye(n)
     i, j = _grid_edges(spec.rows, spec.cols)
     q[i, j] = q[j, i] = -1.0
-    return SparseSpd(q, _grid_pattern(spec.rows, spec.cols))
+    return SparseSpd._stored(q, _grid_pattern(spec.rows, spec.cols))
 
 
 def diffusion_precision(spec: DiffusionSpec, anchor: bool = True) -> SparseSpd:
@@ -96,7 +96,7 @@ def diffusion_precision(spec: DiffusionSpec, anchor: bool = True) -> SparseSpd:
     q[i, j] = q[j, i] = -coeff
     if anchor:
         q += 1e-2 * spec.coeff_low * np.eye(n)
-    return SparseSpd(q, _grid_pattern(rows, cols))
+    return SparseSpd._stored(q, _grid_pattern(rows, cols))
 
 
 def sample_gmrf(
@@ -176,17 +176,3 @@ def save_dataset(
     write_atomic_text(os.path.join(out_dir, "truth.json"), json.dumps(truth))
     write_atomic_text(os.path.join(out_dir, "metadata.json"), json.dumps(metadata))
 
-
-def load_dataset(out_dir: str):
-    import os
-
-    data = np.loadtxt(os.path.join(out_dir, "data.csv"), delimiter=",", ndmin=2)
-    labels_path = os.path.join(out_dir, "labels.csv")
-    labels = (
-        np.loadtxt(labels_path, dtype=int, ndmin=1) if os.path.exists(labels_path) else None
-    )
-    with open(os.path.join(out_dir, "truth.json")) as fh:
-        precisions = [SparseSpd.from_json(o) for o in json.load(fh)]
-    with open(os.path.join(out_dir, "metadata.json")) as fh:
-        metadata = json.load(fh)
-    return data, labels, precisions, metadata

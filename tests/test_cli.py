@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import gmrfmix.cli
@@ -593,6 +593,25 @@ class TestConfigFile:
         assert code == EXIT_IO
 
 
+class TestArgparseErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "d.csv", "--k", "1", "--estimator", "glasso", "--lambda", "-1e-3",
+             "--out", "m.json"],
+            ["fit", "--data", "d.csv", "--k", "x", "--estimator", "baseline", "--out", "m.json"],
+            ["frobnicate"],
+        ],
+        ids=["negative-exponent-value", "non-integer-k", "unknown-subcommand"],
+    )
+    def test_argparse_error_is_one_line(self, tmp_path, capsys, argv):
+        assert_one_line_usage_error(run(*argv), capsys)
+
+    def test_help_still_exits_zero(self, capsys):
+        assert run("fit", "--help") == EXIT_OK
+        assert "--estimator" in capsys.readouterr().out
+
+
 class TestNumericFailures:
     def test_singular_data_exits_numeric(self, tmp_path):
         # all-zero data: the covariance is 0 and even the relative ridge
@@ -696,6 +715,228 @@ class TestNonFiniteAndMalformedInput:
         assert str(model) in assert_one_line_usage_error(code, capsys)
 
 
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory):
+    """A K=2 diffusion mixture on a 3x3 grid (generate --seed 1) and a baseline fit of it.
+
+    Returns the paths of data.csv and labels.csv, the truth.json list and
+    the model.json object.
+    """
+    tmp = tmp_path_factory.mktemp("json_inputs")
+    d = tmp / "data"
+    assert run(
+        "generate", "--kind", "diffusion-mixture", "--k", "2", "--rows", "3", "--cols", "3",
+        "--samples-range", "40", "60", "--seed", "1", "--out-dir", str(d),
+    ) == EXIT_OK
+    model = tmp / "model.json"
+    assert run(
+        "fit", "--data", str(d / "data.csv"), "--k", "2", "--estimator", "baseline",
+        "--out", str(model),
+    ) == EXIT_OK
+    return {
+        "data": str(d / "data.csv"),
+        "labels": str(d / "labels.csv"),
+        "truth": json.loads((d / "truth.json").read_text()),
+        "model": json.loads(model.read_text()),
+    }
+
+
+def run_on_json_input(inputs, flag, obj):
+    """Write obj to a file, give it as flag to the command that takes it, and run that.
+
+    --truth goes to bias-report, --support to fit and --model to eval; each
+    writes into a directory that does not exist yet. Returns (exit code,
+    stderr lines, file path, whether the output directory exists afterwards).
+    """
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out = os.path.join(work, "out")
+        data = ["--data", inputs["data"]]
+        argv = {
+            "--truth": ["bias-report", "--truth", path, *data, "--lambda", "0.1",
+                        "--estimators", "known-support", "--out-dir", out],
+            "--support": ["fit", *data, "--k", "2", "--estimator", "known-support",
+                          "--support", path, "--out", os.path.join(out, "model.json")],
+            "--model": ["eval", "--model", path, *data, "--labels", inputs["labels"],
+                        "--out", os.path.join(out, "metrics.json")],
+        }[flag]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        return code, lines, path, os.path.exists(out)
+
+
+def assert_rejected_input(result):
+    """Exit 2, one stderr line naming the file, and no output directory."""
+    code, lines, path, out_exists = result
+    assert code == EXIT_USAGE, (code, lines)
+    assert len(lines) == 1 and lines[0].startswith("usage error: ") and path in lines[0], lines
+    assert not out_exists
+
+
+def with_triplet_field(obj, k, col, value):
+    obj = json.loads(json.dumps(obj))
+    obj["triplets"][k][col] = value
+    return obj
+
+
+class TestJsonInputBoundary:
+    """Each JSON input is checked once, when it is read: a malformed file exits 2."""
+
+    @pytest.mark.parametrize(
+        "flag, make",
+        [
+            ("--support", lambda t, m: {"n": 9, "triplets": [[0, 2.9, 1.0]]}),
+            ("--support", lambda t, m: [with_triplet_field(t[0], 0, 1, 1.5), t[1]]),
+            ("--truth", lambda t, m: {**t[0], "n": 9.7}),
+            ("--truth", lambda t, m: {**t[0], "n": "9"}),
+            ("--truth", lambda t, m: with_triplet_field(t[0], 0, 1, 99)),
+            ("--truth", lambda t, m: with_triplet_field(t[0], 1, 1, 1.5)),
+            ("--truth", lambda t, m: with_triplet_field(t[0], 0, 2, float("inf"))),
+            ("--model", lambda t, m: {"components": [
+                {**m["components"][0], "precision": with_triplet_field(
+                    m["components"][0]["precision"], 1, 1, 1.5)},
+                m["components"][1],
+            ]}),
+            ("--model", lambda t, m: {"components": [
+                {**m["components"][0], "weight": float("nan")}, m["components"][1],
+            ]}),
+            ("--model", lambda t, m: {"components": [
+                {**m["components"][0], "mean": [float("nan")] * 9}, m["components"][1],
+            ]}),
+            ("--model", lambda t, m: {"components": [
+                {**m["components"][0], "precision": with_triplet_field(
+                    m["components"][0]["precision"], 0, 2, float("nan"))},
+                m["components"][1],
+            ]}),
+        ],
+        ids=["support-index-2.9", "support-index-1.5", "truth-n-9.7", "truth-n-string",
+             "truth-index-99", "truth-index-1.5", "truth-value-inf", "model-index-1.5",
+             "model-weight-nan", "model-mean-nan", "model-value-nan"],
+    )
+    def test_malformed_input_is_usage_error(self, json_inputs, flag, make):
+        obj = make(json_inputs["truth"], json_inputs["model"])
+        assert_rejected_input(run_on_json_input(json_inputs, flag, obj))
+
+    def test_non_finite_precision_value_is_named(self, json_inputs):
+        m = json_inputs["model"]
+        bad = with_triplet_field(m["components"][1]["precision"], 2, 2, float("nan"))
+        model = {"components": [m["components"][0], {**m["components"][1], "precision": bad}]}
+        _, lines, _, _ = run_on_json_input(json_inputs, "--model", model)
+        assert "triplet 2 [" in lines[0] and "finite value" in lines[0], lines
+
+    @pytest.mark.parametrize("flag", ["--truth", "--model"])
+    def test_dimension_other_than_the_data_is_usage_error(self, tmp_path, json_inputs, flag):
+        """A 2x2-grid precision or model given with the 3x3 grid's data."""
+        small = generate_mixture(tmp_path)
+        truth = json.loads((small / "truth.json").read_text())
+        if flag == "--truth":
+            obj = truth[0]
+        else:
+            assert run(
+                "fit", "--data", str(small / "data.csv"), "--k", "2", "--estimator", "baseline",
+                "--out", str(tmp_path / "model.json"),
+            ) == EXIT_OK
+            obj = json.loads((tmp_path / "model.json").read_text())
+        result = run_on_json_input(json_inputs, flag, obj)
+        assert_rejected_input(result)
+        assert "n=4 but data has 9 columns" in result[1][0]
+
+    def test_well_formed_truth_that_is_not_spd_exits_numeric(self, json_inputs):
+        truth = json_inputs["truth"][0]
+        diagonal = next(k for k, (i, j, _) in enumerate(truth["triplets"]) if i == j)
+        code, lines, _, out_exists = run_on_json_input(
+            json_inputs, "--truth", with_triplet_field(truth, diagonal, 2, -1.0)
+        )
+        assert code == EXIT_NUMERIC and len(lines) == 1, lines
+        assert lines[0] == "numerical failure: Matrix is not positive definite"
+        assert not out_exists
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        flag=st.sampled_from(["--truth", "--support", "--model"]),
+        edit=st.one_of(
+            st.tuples(st.just("n"), st.sampled_from([9.0, 9.5, True, "9", 0, -1, None, [9]])),
+            st.tuples(
+                st.just("index"),
+                st.sampled_from([0.5, 2.25, -1, 9, 99, float("nan"), float("inf"), "1", None]),
+            ),
+            st.tuples(
+                st.just("value"),
+                st.sampled_from([float("nan"), float("inf"), -float("inf"), "1.0", None, [1.0]]),
+            ),
+            st.tuples(st.just("drop"), st.sampled_from(["n", "triplets"])),
+            st.tuples(st.just("nest"), st.sampled_from(["wrap", "flat", "dict", "pairs"])),
+            st.tuples(
+                st.just("weight"), st.sampled_from([float("nan"), float("inf"), None, [0.5]])
+            ),
+            st.tuples(
+                st.just("mean"), st.sampled_from([float("nan"), float("inf"), -float("inf")])
+            ),
+            st.tuples(
+                st.just("model"),
+                st.sampled_from(
+                    ["drop-components", "drop-weight", "drop-mean", "drop-precision",
+                     "components-dict", "component-list", "mean-nested", "precision-list"]
+                ),
+            ),
+        ),
+        component=st.integers(0, 1),
+        triplet=st.integers(0, 100),
+        col=st.integers(0, 1),
+    )
+    def test_one_malformed_field_is_usage_error(
+        self, json_inputs, flag, edit, component, triplet, col
+    ):
+        kind, value = edit
+        model_only = kind in ("weight", "mean", "model")
+        obj = json.loads(json.dumps(json_inputs["model" if flag == "--model" else "truth"]))
+        if flag == "--model":
+            comp = obj["components"][component]
+            target = comp["precision"]
+        else:
+            assume(not model_only)
+            if flag == "--truth":
+                obj = target = obj[component]
+            else:
+                target = obj[component]
+        trips = target["triplets"]
+        if kind == "n":
+            target["n"] = value
+        elif kind in ("index", "value"):
+            trips[triplet % len(trips)][col if kind == "index" else 2] = value
+        elif kind == "drop":
+            del target[value]
+        elif kind == "nest":
+            target["triplets"] = {
+                "wrap": [trips],
+                "flat": [x for t in trips for x in t],
+                "dict": {str(k): t for k, t in enumerate(trips)},
+                "pairs": [t[:2] for t in trips],
+            }[value]
+        elif kind == "weight":
+            comp["weight"] = value
+        elif kind == "mean":
+            comp["mean"][triplet % len(comp["mean"])] = value
+        elif value == "drop-components":
+            del obj["components"]
+        elif value.startswith("drop-"):
+            del comp[value[5:]]
+        elif value == "components-dict":
+            obj["components"] = {str(k): c for k, c in enumerate(obj["components"])}
+        elif value == "component-list":
+            obj["components"][component] = list(comp.values())
+        elif value == "mean-nested":
+            comp["mean"] = [comp["mean"]]
+        else:  # precision-list
+            comp["precision"] = [target]
+        assert_rejected_input(run_on_json_input(json_inputs, flag, obj))
+
+
 # Command-line values as the fuzz test passes them. Scalars go as --flag=value,
 # so that a value such as "-inf" is not read as a flag; list items are
 # limited to forms argparse takes as negative numbers.
@@ -723,7 +964,7 @@ def run_quietly(*argv):
 
 
 class TestCliFuzz:
-    """generate, fit, eval and lambda-sweep on small random flag values.
+    """generate, fit, eval, bias-report and lambda-sweep on small random flag values.
 
     Every run exits 0, 2, 3 or 4 with at most one stderr line and no
     traceback. Sizes stay small (at most 36 variables and 60 samples per
@@ -750,10 +991,11 @@ class TestCliFuzz:
         grid=st.lists(GRID_TEXT, min_size=1, max_size=3),
         split=st.one_of(st.just("0.8"), st.floats(-0.5, 1.5).map(lambda x: f"{x:.3f}")),
         seed=st.integers(0, 3),
+        estimators=st.lists(st.sampled_from([*ESTIMATORS, "wat"]), min_size=1, max_size=3),
     )
     def test_exit_codes_and_messages(
         self, kind, rows, cols, k, samples, samples_range, coeffs, estimator, lam, grid,
-        split, seed,
+        split, seed, estimators,
     ):
         capped = functools.partial(EmConfig, max_em_iters=3)
         with (
@@ -769,7 +1011,8 @@ class TestCliFuzz:
             )
             data = os.path.join(d, "data.csv")
             model = os.path.join(tmp, "fit", "model.json")
-            extra = [] if lam is None else [f"--lambda={lam}"]
+            lam_flag = [] if lam is None else [f"--lambda={lam}"]
+            extra = [*lam_flag]
             if estimator == "known-support":
                 extra.append(f"--support={os.path.join(d, 'truth.json')}")
             run_quietly(
@@ -780,6 +1023,11 @@ class TestCliFuzz:
                 "eval", f"--model={model}", f"--data={data}",
                 f"--labels={os.path.join(d, 'labels.csv')}",
                 f"--out={os.path.join(tmp, 'eval', 'metrics.json')}",
+            )
+            run_quietly(
+                "bias-report", f"--truth={os.path.join(d, 'truth.json')}", f"--data={data}",
+                *lam_flag, f"--estimators={','.join(estimators)}",
+                f"--out-dir={os.path.join(tmp, 'report')}",
             )
             run_quietly(
                 "lambda-sweep", f"--data={data}", "--lambda-grid", *grid, f"--split={split}",

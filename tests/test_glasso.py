@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gmrfmix.glasso import (
@@ -15,6 +15,7 @@ from gmrfmix.glasso import (
 )
 from gmrfmix.errors import DimensionMismatch
 from gmrfmix.matrices import SparseSpd, SupportPattern, spd_inverse
+from gmrfmix.mixture import weighted_stats
 from gmrfmix.mle import (
     MleConfig,
     dense_mle,
@@ -22,6 +23,7 @@ from gmrfmix.mle import (
     neg_log_likelihood,
     proj_pcg,
 )
+from gmrfmix.synthetic import DiffusionSpec, make_clustering_dataset
 
 from test_mle import random_sparse_spd
 
@@ -200,6 +202,29 @@ class TestCertificateProperties:
         assert res.kkt_residual <= cfg.newton_tol
         assert np.all(np.diff(res.objective_trace) <= 0.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 10), st.floats(0.02, 0.4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_capped_solve_certifies_the_estimate_it_returns(self, n, lam, cap, seed):
+        rng = np.random.default_rng(seed)
+        s = random_cov(n, rng, n_samples=2 * n)
+        cfg = GlassoConfig(lam=lam, max_newton_iters=cap)
+        res = glasso_solve(s, cfg)
+        assume(not res.converged and res.iterations == cap)
+        assert res.kkt_residual == kkt_residual(res.q.dense, spd_inverse(res.q), s, cfg)
+
+
+def test_capped_clustering_solve_certifies_the_estimate_it_returns():
+    """Component 0 of the small clustering profile's dataset seed 11 (zero-mean
+    covariance over its true labels), capped at 10 Newton steps. The returned
+    estimate's residual is 3.884; the iterate before the last step had 4.978."""
+    data, labels, _ = make_clustering_dataset(5, DiffusionSpec(5, 5), 500, 1000, seed=11)
+    _, s, _ = weighted_stats(data, np.eye(5)[labels], 0, fix_mean_zero=True)
+    cfg = GlassoConfig(lam=0.3, max_newton_iters=10)
+    res = glasso_solve(s, cfg)
+    assert not res.converged and res.iterations == 10
+    assert res.kkt_residual == kkt_residual(res.q.dense, spd_inverse(res.q), s, cfg)
+    assert res.kkt_residual == pytest.approx(3.884, abs=1e-3)
+
 
 class TestKktResidual:
     def test_hand_built_optimum(self):
@@ -224,7 +249,7 @@ class TestDebias:
         s = np.linalg.inv(q_true)
         # lambda small enough to keep the true support, large enough to sparsify
         res = debias(s, GlassoConfig(lam=0.05), MleConfig(outer_tol=1e-9))
-        if res.q.pattern == SupportPattern.from_matrix(q_true):
+        if res.q.pattern == SupportPattern.from_mask(q_true != 0):
             assert np.max(np.abs(res.q.dense - q_true)) < 1e-6
 
     def test_large_lambda_gives_per_coordinate_mle(self):

@@ -229,6 +229,75 @@ class TestSparseSpd:
         assert all(i <= j for i, j, _ in obj["triplets"])
 
 
+# one field of a valid {"n", "triplets"} object replaced; each must be a ValueError
+MALFORMED_TRIPLETS = {
+    "n-float": lambda o: {**o, "n": 3.0},
+    "n-bool": lambda o: {**o, "n": True},
+    "n-string": lambda o: {**o, "n": "3"},
+    "n-zero": lambda o: {**o, "n": 0},
+    "index-fractional": lambda o: {**o, "triplets": [[0, 1.5, -1.0]]},
+    "index-negative": lambda o: {**o, "triplets": [[-1, 1, -1.0]]},
+    "index-out-of-range": lambda o: {**o, "triplets": [[0, 3, -1.0]]},
+    "index-nan": lambda o: {**o, "triplets": [[0, float("nan"), -1.0]]},
+    "index-string": lambda o: {**o, "triplets": [[0, "1", -1.0]]},
+    "value-nan": lambda o: {**o, "triplets": [[0, 1, float("nan")]]},
+    "value-inf": lambda o: {**o, "triplets": [[0, 0, float("inf")]]},
+    "value-minus-inf": lambda o: {**o, "triplets": [[1, 1, -float("inf")]]},
+    "value-bool": lambda o: {**o, "triplets": [[1, 1, True]]},
+    "value-huge-int": lambda o: {**o, "triplets": [[1, 1, 10**400]]},
+    "no-n": lambda o: {"triplets": o["triplets"]},
+    "no-triplets": lambda o: {"n": o["n"]},
+    "not-an-object": lambda o: [o],
+    "triplets-not-a-list": lambda o: {**o, "triplets": {"0": [0, 0, 1.0]}},
+    "triplet-of-two": lambda o: {**o, "triplets": [[0, 1]]},
+    "triplets-flat": lambda o: {**o, "triplets": [0, 1, -1.0]},
+    "triplets-nested": lambda o: {**o, "triplets": [[[0, 1, -1.0]]]},
+}
+
+
+class TestTripletJson:
+    def valid(self):
+        m = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        return SparseSpd(m).to_json()
+
+    @pytest.mark.parametrize("load", [SparseSpd.from_json, SupportPattern.from_json])
+    @pytest.mark.parametrize("bad", list(MALFORMED_TRIPLETS))
+    def test_malformed_object_is_value_error(self, load, bad):
+        with pytest.raises(ValueError):
+            load(MALFORMED_TRIPLETS[bad](self.valid()))
+
+    def test_pattern_from_json_reads_the_pairs(self):
+        obj = self.valid()
+        assert SupportPattern.from_json(obj) == SparseSpd.from_json(obj).pattern
+        assert SupportPattern.from_json({"n": 4, "triplets": [[3, 0, 7.5]]}) == SupportPattern(
+            4, [(0, 3)]
+        )
+
+    def test_integral_float_indices_and_either_triangle(self):
+        q = SparseSpd.from_json({"n": 2, "triplets": [[0, 0, 2.0], [1.0, 0.0, -1.0], [1, 1, 2]]})
+        assert np.array_equal(q.dense, [[2.0, -1.0], [-1.0, 2.0]])
+
+    def test_well_formed_matrix_that_is_not_spd_is_not_spd(self):
+        with pytest.raises(NotSpd):
+            SparseSpd.from_json({"n": 2, "triplets": [[0, 0, 1.0], [0, 1, 2.0], [1, 1, 1.0]]})
+
+
+class TestStoredConstruction:
+    """SparseSpd._stored skips __init__'s checks, never the Cholesky factorization."""
+
+    def test_equals_the_checked_construction(self):
+        m = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        q, stored = SparseSpd(m), SparseSpd._stored(m.copy(), SparseSpd(m).pattern)
+        for attr in ("dense", "chol", "pair_rows", "pair_cols"):
+            assert np.array_equal(getattr(stored, attr), getattr(q, attr))
+        assert stored.log_det == q.log_det and stored.pattern == q.pattern and stored.n == 3
+        assert not stored.dense.flags.writeable
+
+    def test_still_guarded_by_cholesky(self):
+        with pytest.raises(NotSpd):
+            SparseSpd._stored(np.array([[1.0, 2.0], [2.0, 1.0]]), SupportPattern.full(2))
+
+
 class TestSpdInverse:
     def test_identity(self):
         q = SparseSpd(np.eye(4))

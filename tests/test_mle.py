@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from gmrfmix.errors import DimensionMismatch, LineSearchFailed, NotSpd
+from gmrfmix.errors import DimensionMismatch, LineSearchFailed, NotSpd, SingularCovariance
 from gmrfmix.matrices import SparseSpd, SupportPattern, project_to_pattern, spd_inverse
+from gmrfmix.mixture import BaselineEstimator, EmConfig, fit_em
 from gmrfmix.mle import (
     MleConfig,
     armijo_spd_search,
@@ -104,6 +105,22 @@ class TestDenseMle:
         s = a @ a.T / 5 + np.eye(5)
         q = dense_mle(s)
         assert np.max(np.abs(gradient(q, s))) < 1e-8
+
+
+@pytest.mark.parametrize("k, n, per_dim, seed", [(3, 2, 12, 1429), (3, 3, 11, 64568)])
+def test_numerically_singular_covariance_is_singular_covariance(k, n, per_dim, seed):
+    """EM with the baseline M-step on the EM-monotonicity test's data recipe
+    collapses a component onto about n points. Its covariance passes
+    Cholesky, but inverting it fails (numpy's LinAlgError at the first seed,
+    the Cholesky of the inverse at the second)."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(k):
+        mix = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        blocks.append(rng.standard_normal((per_dim * n, n)) @ mix + rng.normal(0.0, 3.0, n))
+    cfg = EmConfig(estimator=BaselineEstimator(), k=k, max_em_iters=50)
+    with pytest.raises(SingularCovariance, match="numerically singular"):
+        fit_em(np.vstack(blocks), cfg, seed=seed)
 
 
 class TestHessianApply:
@@ -288,7 +305,7 @@ class TestEstimateKnownSupport:
     def test_recovers_tridiagonal_from_exact_inverse(self):
         q_true = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         s = np.linalg.inv(q_true)
-        pattern = SupportPattern.from_matrix(q_true)
+        pattern = SupportPattern.from_mask(q_true != 0)
         res = estimate_known_support(s, pattern, cfg=MleConfig(outer_tol=1e-9))
         assert np.max(np.abs(res.q.dense - q_true)) < 1e-6
 
@@ -340,6 +357,19 @@ class TestEstimateKnownSupport:
         res = estimate_known_support(s, q_true.pattern)
         outside = res.q.dense[~q_true.pattern.mask()]
         assert np.all(outside == 0.0)
+
+    @pytest.mark.parametrize("cap", [1, 2, 200])
+    def test_grad_max_certifies_the_returned_estimate(self, cap):
+        rng = np.random.default_rng(14)
+        q_true = random_sparse_spd(8, rng)
+        a = rng.standard_normal((40, 8))
+        s = a.T @ a / 40
+        res = estimate_known_support(s, q_true.pattern, cfg=MleConfig(max_outer_iters=cap))
+        g = project_to_pattern(s - spd_inverse(res.q), q_true.pattern)
+        assert res.grad_max == np.max(np.abs(g))
+        assert res.converged == (res.grad_max <= 1e-6)
+        assert res.iterations == len(res.objective_trace) - 1 <= cap
+        assert res.converged != (cap < 3)
 
     def test_default_q0_is_inverse_diagonal(self):
         s = np.array([[2.0, 0.1], [0.1, 5.0]])

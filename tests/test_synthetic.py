@@ -1,14 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from gmrfmix.errors import NotSpd
-from gmrfmix.matrices import SupportPattern, eigenvalues_sym
+from gmrfmix.matrices import SparseSpd, SupportPattern, eigenvalues_sym, load_dense_csv
 from gmrfmix.synthetic import (
     DiffusionSpec,
     LatticeSpec,
     diffusion_precision,
     laplacian2d_precision,
-    load_dataset,
     make_clustering_dataset,
     sample_gmrf,
     save_dataset,
@@ -228,6 +229,15 @@ class TestMakeClusteringDataset:
             make_clustering_dataset(2, DiffusionSpec(2, 2), 10, 5, seed=0)
 
 
+def load_saved(out_dir):
+    """(data, labels or None, precisions, metadata) read back as the CLI reads them."""
+    data = load_dense_csv(str(out_dir / "data.csv"))
+    labels_path = out_dir / "labels.csv"
+    labels = np.loadtxt(labels_path, dtype=int, ndmin=1) if labels_path.exists() else None
+    precisions = [SparseSpd.from_json(o) for o in json.loads((out_dir / "truth.json").read_text())]
+    return data, labels, precisions, json.loads((out_dir / "metadata.json").read_text())
+
+
 class TestDatasetIo:
     def test_roundtrip(self, tmp_path):
         data, labels, precs = make_clustering_dataset(
@@ -235,7 +245,7 @@ class TestDatasetIo:
         )
         meta = {"k": 2, "rows": 2, "cols": 2, "seed": 2}
         save_dataset(str(tmp_path), data, labels, precs, meta)
-        data2, labels2, precs2, meta2 = load_dataset(str(tmp_path))
+        data2, labels2, precs2, meta2 = load_saved(tmp_path)
         assert np.array_equal(data, data2)
         assert np.array_equal(labels, labels2)
         assert meta2 == meta
@@ -244,13 +254,13 @@ class TestDatasetIo:
             assert qa.pattern == qb.pattern
         # one labeled row still loads as a length-1 label vector
         save_dataset(str(tmp_path / "one"), data[:1], labels[:1], precs, meta)
-        data1, labels1, _, _ = load_dataset(str(tmp_path / "one"))
+        data1, labels1, _, _ = load_saved(tmp_path / "one")
         assert data1.shape == (1, data.shape[1])
         assert labels1.shape == (1,) and labels1[0] == labels[0]
 
     def test_unlabeled_roundtrip(self, tmp_path):
         data, _, precs = make_clustering_dataset(1, DiffusionSpec(2, 2), 5, 5, seed=3)
         save_dataset(str(tmp_path), data, None, precs, {})
-        data2, labels2, _, _ = load_dataset(str(tmp_path))
+        data2, labels2, _, _ = load_saved(tmp_path)
         assert labels2 is None
         assert np.array_equal(data, data2)
