@@ -65,15 +65,25 @@ class MixtureModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MixtureModel":
-        """The model of a to_json object; weights and means must be finite."""
-        comps = [
-            GmrfComponent(
-                weight=float(c["weight"]),
-                mean=np.asarray(c["mean"], dtype=np.float64),
-                precision=SparseSpd.from_json(c["precision"]),
+        """The model of a to_json object.
+
+        ValueError unless each weight is a JSON number and each mean a list
+        of JSON numbers (a numeric string is not one), all of them finite.
+        """
+        comps = []
+        for c in obj["components"]:
+            weight, mean = c["weight"], c["mean"]
+            if type(weight) not in (int, float) or type(mean) is not list or not (
+                set(map(type, mean)) <= {int, float}
+            ):
+                raise ValueError("component weights and means must be JSON numbers")
+            try:
+                weight, mean = float(weight), np.asarray(mean, dtype=np.float64)
+            except OverflowError:  # an integer too large for a float
+                raise ValueError("component weights and means must be finite") from None
+            comps.append(
+                GmrfComponent(weight=weight, mean=mean, precision=SparseSpd.from_json(c["precision"]))
             )
-            for c in obj["components"]
-        ]
         if not all(np.isfinite(c.weight) and np.all(np.isfinite(c.mean)) for c in comps):
             raise ValueError("component weights and means must be finite")
         return cls(comps)

@@ -813,10 +813,22 @@ class TestJsonInputBoundary:
                     m["components"][0]["precision"], 0, 2, float("nan"))},
                 m["components"][1],
             ]}),
+            ("--model", lambda t, m: {"components": [
+                {**c, "weight": str(c["weight"]), "mean": [str(v) for v in c["mean"]]}
+                for c in m["components"]
+            ]}),
+            ("--model", lambda t, m: {"components": [
+                {**m["components"][0], "mean": [True] + m["components"][0]["mean"][1:]},
+                m["components"][1],
+            ]}),
+            ("--model", lambda t, m: {"components": [
+                {**m["components"][0], "weight": 10 ** 400}, m["components"][1],
+            ]}),
         ],
         ids=["support-index-2.9", "support-index-1.5", "truth-n-9.7", "truth-n-string",
              "truth-index-99", "truth-index-1.5", "truth-value-inf", "model-index-1.5",
-             "model-weight-nan", "model-mean-nan", "model-value-nan"],
+             "model-weight-nan", "model-mean-nan", "model-value-nan", "model-numbers-as-strings",
+             "model-mean-bool", "model-weight-huge-int"],
     )
     def test_malformed_input_is_usage_error(self, json_inputs, flag, make):
         obj = make(json_inputs["truth"], json_inputs["model"])

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from gmrfmix import glasso, mle, synthetic
 from gmrfmix.errors import DimensionMismatch, LineSearchFailed, NotSpd, SingularCovariance
 from gmrfmix.matrices import SparseSpd, SupportPattern, project_to_pattern, spd_inverse
 from gmrfmix.mixture import BaselineEstimator, EmConfig, fit_em
@@ -161,24 +166,25 @@ class TestHessianApply:
 
 
 class TestPrecondWeights:
+    # one weight per pattern pair, in index_arrays order: full(2) is (0,0), (0,1), (1,1)
     def test_identity(self):
         m = precond_weights(np.eye(3), SupportPattern.full(3))
-        assert np.allclose(m, np.ones((3, 3)))
+        assert np.allclose(m, np.ones(6))
 
     def test_diagonal(self):
         m = precond_weights(np.diag([2.0, 3.0]), SupportPattern.full(2))
-        assert m[0, 0] == 4.0 and m[1, 1] == 9.0 and m[0, 1] == 6.0
+        assert m.tolist() == [4.0, 6.0, 9.0]
 
     def test_off_diagonal_formula(self):
         w = np.array([[1.0, 0.5], [0.5, 1.0]])
         m = precond_weights(w, SupportPattern.full(2))
-        assert m[0, 1] == pytest.approx(1.25)
+        assert m[1] == pytest.approx(1.25)
 
     def test_positive_for_spd(self):
         rng = np.random.default_rng(5)
         q = random_sparse_spd(6, rng, fill=1.0)
         m = precond_weights(spd_inverse(q), SupportPattern.full(6))
-        assert np.all(m > 0)
+        assert m.shape == (21,) and np.all(m > 0)
 
 
 class TestProjPcg:
@@ -216,6 +222,59 @@ class TestProjPcg:
         assert ok
         resid = hessian_apply(w, delta, pattern) + g
         assert np.linalg.norm(resid) <= cfg.pcg_tol * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("sparse_fill", [0.0, 1.0], ids=["dense-products", "sparse-products"])
+class TestNewtonOperatorProperties:
+    """Both products of the Newton operator against numpy, on random SPD W
+    (n 1-30) and patterns from diagonal-only to full. The sparse one gathers
+    8 elements of W per block, so that every pattern spans several blocks."""
+
+    @staticmethod
+    def draw(n, fill, seed):
+        rng = np.random.default_rng(seed)
+        pattern = SupportPattern.from_mask(rng.random((n, n)) < fill)
+        a = rng.standard_normal((n, n))
+        q = SparseSpd(a @ a.T / n + 0.5 * np.eye(n), SupportPattern.full(n))
+        b = rng.standard_normal((n, n))
+        return pattern, q, np.where(pattern.mask(), b + b.T, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_apply_matches_numpy(self, sparse_fill, n, fill, seed):
+        pattern, q, delta = self.draw(n, fill, seed)
+        w = spd_inverse(q)
+        rows, cols = pattern.index_arrays()
+        with mock.patch.object(mle, "SPARSE_FILL", sparse_fill), \
+                mock.patch.object(mle, "GATHER_ELEMS", 8):
+            got = mle._newton_operator(w, pattern)(delta[rows, cols])
+            dense = hessian_apply(w, delta, pattern)
+        want = (w @ delta @ w)[rows, cols]
+        # rtol on each entry, and the same tolerance on the scale of the
+        # products for entries that cancel to near zero
+        atol = 1e-12 * np.linalg.norm(w, 2) ** 2 * np.abs(delta).sum()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+        np.testing.assert_array_equal(dense, np.where(pattern.mask(), dense, 0.0))
+        np.testing.assert_array_equal(dense[rows, cols], got)
+        np.testing.assert_array_equal(dense, dense.T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-1, 1e-3, 1e-6]), st.integers(1, 60),
+    )
+    def test_pcg_direction_meets_its_tolerance(self, sparse_fill, n, fill, seed, tol, iters):
+        pattern, q, g = self.draw(n, fill, seed)
+        cfg = MleConfig(pcg_tol=tol, max_pcg_iters=iters)
+        with mock.patch.object(mle, "SPARSE_FILL", sparse_fill), \
+                mock.patch.object(mle, "GATHER_ELEMS", 8):
+            delta, ok = proj_pcg(q, g, pattern, cfg)
+        np.testing.assert_array_equal(delta, delta.T)
+        assert not np.any(delta[~pattern.mask()])
+        if ok:
+            w = spd_inverse(q)
+            resid = np.where(pattern.mask(), w @ delta @ w, 0.0) + g
+            assert np.linalg.norm(resid) <= cfg.pcg_tol * np.linalg.norm(g)
 
 
 def nll_search(q, s, g, delta, pattern=None):
@@ -375,3 +434,53 @@ class TestEstimateKnownSupport:
         s = np.array([[2.0, 0.1], [0.1, 5.0]])
         q0 = default_q0(s, SupportPattern.diagonal(2))
         assert np.allclose(q0.dense, np.diag([0.5, 0.2]))
+
+
+def lattice_problem():
+    """The 16x16 lattice precision and the covariance of 300 of its samples (seed 44)."""
+    q_true = synthetic.laplacian2d_precision(synthetic.LatticeSpec(16, 16))
+    x = synthetic.sample_gmrf(q_true, None, 300, seed=44)
+    s = x.T @ x / x.shape[0]
+    return q_true, 0.5 * (s + s.T)
+
+
+def test_pcg_truncated_counts_newton_steps_with_truncated_pcg(monkeypatch):
+    q_true, s = lattice_problem()
+    flags = []
+
+    def recording(*args):
+        out = proj_pcg(*args)
+        flags.append(out[1])
+        return out
+
+    monkeypatch.setattr(mle, "proj_pcg", recording)
+    res = estimate_known_support(s, q_true.pattern, cfg=MleConfig(max_pcg_iters=1, max_outer_iters=20))
+    assert len(flags) == res.iterations
+    assert res.pcg_truncated == flags.count(False) > 0
+    flags.clear()
+    res = estimate_known_support(s, q_true.pattern)
+    assert res.converged and res.pcg_truncated == flags.count(False) == 0
+
+
+def test_lattice_solves_match_tight_pcg_within_outer_tol():
+    """Known-support and refit (lambda 0.25 support) on one 16x16 lattice sample.
+
+    Both solves and their pcg_tol=1e-8 counterparts stop with every pattern
+    entry of the gradient S - Q^{-1} within outer_tol. The objective's
+    Hessian on the pattern subspace is Q^{-1} (x) Q^{-1}, whose smallest
+    eigenvalue is at least 1/L^2 on the segment between the two solutions,
+    for L the larger of their largest eigenvalues. So
+    ||Q - Q'||_F <= L^2 ||g - g'||_F <= 2 L^2 outer_tol sqrt(nnz).
+    """
+    q_true, s = lattice_problem()
+    lasso = glasso.glasso_solve(s, glasso.GlassoConfig(lam=0.25)).q
+    tight = MleConfig(pcg_tol=1e-8)
+    for pattern, q0 in ((q_true.pattern, None), (lasso.pattern, lasso)):
+        a = estimate_known_support(s, pattern, q0=q0)
+        b = estimate_known_support(s, pattern, q0=q0, cfg=tight)
+        for res, cfg in ((a, MleConfig()), (b, tight)):
+            assert res.converged and res.grad_max <= cfg.outer_tol
+        top = max(np.linalg.eigvalsh(a.q.dense)[-1], np.linalg.eigvalsh(b.q.dense)[-1])
+        nnz = np.count_nonzero(pattern.mask())
+        bound = 2.0 * top**2 * MleConfig().outer_tol * np.sqrt(nnz)
+        assert np.linalg.norm(a.q.dense - b.q.dense) <= bound
