@@ -18,7 +18,6 @@ from .matrices import (
     SupportPattern,
     cholesky,
     eigenvalues_sym,
-    project_to_pattern,
     spd_inverse,
 )
 from .mle import (

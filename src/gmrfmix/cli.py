@@ -197,6 +197,8 @@ def _cold_fits(names, s: np.ndarray, lam: float, patterns=lambda: None) -> dict:
 
 def cmd_fit(args) -> None:
     data = load_dense_csv(args.data)
+    if args.k > data.shape[0]:
+        raise UsageError(f"--k {args.k} exceeds the {data.shape[0]} rows of {args.data}")
 
     def patterns():
         return args.support and _load_support(args.support, data.shape[1], args.k)
@@ -269,6 +271,8 @@ def cmd_bias_report(args) -> None:
 
 
 def cmd_lambda_sweep(args) -> None:
+    if not 0 < args.split < 1:  # also rejects NaN
+        raise UsageError(f"--split must be in (0, 1), got {args.split}")
     data = load_dense_csv(args.data)
     rng = np.random.default_rng(args.seed)
     perm = rng.permutation(data.shape[0])

@@ -5,7 +5,9 @@ plus entries whose gradient violates the l1 threshold), solves the LASSO
 subproblem by cyclic coordinate descent with exact soft-threshold updates,
 and steps along the direction with the SPD-guarded Armijo search that the
 support-constrained MLE also uses (`mle.armijo_spd_search`), applied to the
-penalized objective.
+penalized objective. As in `mle`, the direction is a vector of the free
+set's pair values (`SupportPattern.index_arrays` order); its descent is its
+`mle.pair_weights` inner product with the gradient plus the l1 change.
 
 Debiasing keeps only the support of the lasso estimate and re-solves the
 support-constrained MLE, warm-started at the lasso iterate (`refit`).
@@ -25,8 +27,11 @@ from .mle import (
     default_q0,
     estimate_known_support,
     neg_log_likelihood,
-    pattern_trace,
+    pair_weights,
 )
+
+# glasso_solve prunes estimate entries of at most this magnitude (the diagonal stays)
+PRUNE_EPS = 1e-8
 
 
 @dataclass
@@ -37,7 +42,6 @@ class GlassoConfig:
     max_newton_iters: int = 100
     lasso_inner_iters: int = 20
     sub_tol: float = 1e-6
-    prune_eps: float = 1e-8
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:  # also rejects NaN
@@ -94,9 +98,10 @@ def lasso_newton_direction(
     """Coordinate-descent solution of the LASSO Newton subproblem.
 
     Minimizes tr(G D) + 0.5 tr(D W D W) + lam * |Q + D|_1 over directions D
-    supported on the free set (G = S - W, W = Q^{-1}). Each coordinate gets
-    an exact soft-threshold update; sweeps stop after lasso_inner_iters or
-    when the largest coordinate change falls below sub_tol.
+    supported on the free set (G = S - W, W = Q^{-1}) and returns the pair
+    values of D, in the free set's `index_arrays` order. Each coordinate
+    gets an exact soft-threshold update; sweeps stop after lasso_inner_iters
+    or when the largest coordinate change falls below sub_tol.
     """
     w = spd_inverse(q)
     n = q.n
@@ -144,10 +149,7 @@ def lasso_newton_direction(
             max_change = max(max_change, abs(mu))
         if max_change <= cfg.sub_tol:
             break
-    delta = np.zeros((n, n))
-    delta[rows, cols] = steps
-    delta[cols, rows] = steps
-    return delta
+    return np.array(steps)
 
 
 def kkt_residual(q: np.ndarray, w: np.ndarray, s: np.ndarray, cfg: GlassoConfig) -> float:
@@ -177,8 +179,8 @@ def kkt_residual(q: np.ndarray, w: np.ndarray, s: np.ndarray, cfg: GlassoConfig)
     return out
 
 
-def _prune(q: np.ndarray, eps: float) -> SparseSpd:
-    kept = np.abs(q) > eps
+def _prune(q: np.ndarray) -> SparseSpd:
+    kept = np.abs(q) > PRUNE_EPS
     np.fill_diagonal(kept, True)
     return SparseSpd._stored(np.where(kept, q, 0.0), SupportPattern.from_mask(kept))
 
@@ -206,8 +208,12 @@ def glasso_solve(
         free = free_set(q, s, cfg.lam)
         delta = lasso_newton_direction(q, s, free, cfg)
 
-        l1_now = _l1_penalty(q.dense, cfg)
-        descent = pattern_trace(s - w, delta) + _l1_penalty(q.dense + delta, cfg) - l1_now
+        rows, cols = free.index_arrays()
+        weight = pair_weights(free)
+        penalized = weight if cfg.penalize_diagonal else np.where(rows == cols, 0.0, weight)
+        q_free = q.dense[rows, cols]
+        l1_change = cfg.lam * np.dot(penalized, np.abs(q_free + delta) - np.abs(q_free))
+        descent = float(np.dot(weight * (s[rows, cols] - w[rows, cols]), delta) + l1_change)
         if descent >= 0.0:
             # subproblem produced no usable direction; report where we are
             break
@@ -218,7 +224,7 @@ def glasso_solve(
         trace.append(f_new)
         iters = t + 1
 
-    result_q = _prune(q.dense, cfg.prune_eps)
+    result_q = _prune(q.dense)
     return GlassoResult(
         q=result_q,
         objective_trace=trace,

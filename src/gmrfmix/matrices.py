@@ -141,10 +141,6 @@ class SupportPattern:
     def issubset(self, other: "SupportPattern") -> bool:
         return self.n == other.n and not np.any(self._mask & ~other._mask)
 
-    def __contains__(self, pair) -> bool:
-        i, j = pair
-        return 0 <= i < self.n and 0 <= j < self.n and bool(self._mask[i, j])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SupportPattern)
@@ -295,13 +291,6 @@ def spd_inverse(q: SparseSpd) -> np.ndarray:
         inv.setflags(write=False)
         q._inverse = inv
     return q._inverse
-
-
-def project_to_pattern(m: np.ndarray, pattern: SupportPattern) -> np.ndarray:
-    """Zero every entry of m outside the pattern."""
-    if m.shape != (pattern.n, pattern.n):
-        raise DimensionMismatch("matrix dimension differs from pattern")
-    return np.where(pattern.mask(), m, 0.0)
 
 
 def eigenvalues_sym(m: np.ndarray) -> np.ndarray:

@@ -1,15 +1,14 @@
 """Support-constrained maximum-likelihood estimation of a precision matrix.
 
 The estimator minimizes -log det Q + tr(Q S) over SPD matrices whose
-support is restricted to a given pattern. The Newton direction is obtained
-by solving project(W Delta W) = -G (W = Q^{-1}) over the pattern subspace
-with a diagonally preconditioned conjugate gradient (`proj_pcg`). Its
-iterates are vectors of the |P| pattern pair values, and each Hessian
-apply computes only those |P| entries of W Delta W, from a sparse Delta on
-sparse patterns. An Armijo backtracking line search, which also guards
-positive-definiteness via Cholesky, follows. The graphical lasso
-(`glasso.glasso_solve`) takes its steps with the same search
-(`armijo_spd_search`) on its penalized objective.
+support is restricted to a given pattern. The gradient S - W (W = Q^{-1}),
+the Newton direction and the line-search step are each a vector of the |P|
+pattern pair values (`SupportPattern.index_arrays` order). The direction
+solves hessian_apply(W, pattern)(x) = -g, the pair values of W Delta W,
+by diagonally preconditioned conjugate gradient (`proj_pcg`). An Armijo
+backtracking line search, which also guards positive-definiteness via
+Cholesky, follows. The graphical lasso (`glasso.glasso_solve`) takes its
+steps with the same search (`armijo_spd_search`) on its penalized objective.
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import DimensionMismatch, LineSearchFailed, SingularCovariance, NotSpd
-from .matrices import (
-    SparseSpd,
-    SupportPattern,
-    check_symmetric,
-    project_to_pattern,
-    spd_inverse,
-)
+from .matrices import SparseSpd, SupportPattern, check_symmetric, spd_inverse
 
 RIDGE_EPS = 1e-6
 # the settings of armijo_spd_search, shared by both Newton solvers
@@ -62,17 +55,8 @@ class MleResult:
     objective_trace: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    grad_max: float = np.inf  # max-abs projected gradient at q, the certificate
+    grad_max: float = np.inf  # max-abs gradient over the pattern pairs at q, the certificate
     pcg_truncated: int = 0  # Newton steps whose PCG stopped before pcg_tol
-
-
-def pattern_trace(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(A B) for symmetric operands supported on a common pattern.
-
-    Equals sum(A * B) elementwise, which counts each off-diagonal pair
-    twice, exactly as the trace does.
-    """
-    return float(np.sum(a * b))
 
 
 def neg_log_likelihood(q: SparseSpd, s: np.ndarray) -> float:
@@ -129,20 +113,38 @@ def _to_dense(x: np.ndarray, pattern: SupportPattern) -> np.ndarray:
     return m
 
 
-def _newton_operator(w: np.ndarray, pattern: SupportPattern):
-    """x -> the pair values of W Delta W, for Delta the symmetric matrix with pair values x.
+def pair_weights(pattern: SupportPattern) -> np.ndarray:
+    """1 for each diagonal pair and 2 for each off-diagonal one, in `index_arrays` order.
 
+    For symmetric X and Y on the pattern with pair values x and y,
+    tr(X Y) = sum(X * Y) = np.dot(pair_weights(pattern) * x, y).
+    """
+    rows, cols = pattern.index_arrays()
+    return np.where(rows == cols, 1.0, 2.0)
+
+
+def hessian_apply(w: np.ndarray, pattern: SupportPattern):
+    """The Newton operator: x -> the pair values of W Delta W, for Delta the
+    symmetric matrix with pair values x (both in `index_arrays` order).
+
+    Delta is held once, and each call only overwrites its pattern entries.
     On a pattern that fills at most SPARSE_FILL of the n x n entries, Delta
-    is held as a scipy.sparse CSR matrix on the pattern's cached structure,
-    and each call only overwrites its data. U = Delta W costs nnz * n; pair
-    (i, j) of W U is row i of W dotted with row j of U^T, gathered for
-    GATHER_ELEMS / n pairs at a time, so |P| * n more. On a fuller pattern
-    two dense products cost less, and only the pair entries are kept.
+    is a scipy.sparse CSR matrix on the pattern's cached structure. U =
+    Delta W costs nnz * n; pair (i, j) of W U is row i of W dotted with row
+    j of U^T, gathered for GATHER_ELEMS / n pairs at a time, so |P| * n
+    more. On a fuller pattern Delta is dense and two dense products cost less.
     """
     rows, cols = pattern.index_arrays()
     n = pattern.n
     if 2 * len(rows) - n > SPARSE_FILL * n * n:
-        return lambda x: (w @ _to_dense(x, pattern) @ w)[rows, cols]
+        dense = np.zeros((n, n))
+
+        def apply_dense(x: np.ndarray) -> np.ndarray:
+            dense[rows, cols] = x
+            dense[cols, rows] = x
+            return (w @ dense @ w)[rows, cols]
+
+        return apply_dense
     indptr, indices, pair = pattern.csr_structure()
     delta = scipy.sparse.csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n))
     step = max(1, GATHER_ELEMS // n)
@@ -159,20 +161,6 @@ def _newton_operator(w: np.ndarray, pattern: SupportPattern):
     return apply
 
 
-def hessian_apply(
-    w: np.ndarray, delta: np.ndarray, pattern: SupportPattern
-) -> np.ndarray:
-    """Apply the Newton operator: project(W Delta W) onto the pattern.
-
-    Dense in and out: Delta (symmetric) is read on the pattern's pairs only,
-    and the result is the symmetric matrix of the pair values that
-    `proj_pcg`'s operator computes from them. The n^2 x n^2 Hessian W (x) W
-    is never materialized.
-    """
-    rows, cols = pattern.index_arrays()
-    return _to_dense(_newton_operator(w, pattern)(delta[rows, cols]), pattern)
-
-
 def precond_weights(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
     """Diagonal preconditioner weight of each pattern pair, in `index_arrays` order.
 
@@ -185,26 +173,23 @@ def precond_weights(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
 
 
 def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern, cfg: MleConfig):
-    """Solve project(W Delta W) = -G over the pattern subspace by PCG (W = Q^{-1}).
+    """Solve hessian_apply(W, pattern)(x) = -g by PCG (W = Q^{-1}); returns (x, converged).
 
-    Returns (delta, converged). The iterates are length-|P| vectors of pair
-    values (`index_arrays` order), and inner products weight off-diagonal
-    pairs by 2, so they are the Frobenius products of the symmetric
-    matrices: the stop test ||R||_F <= pcg_tol ||project(G)||_F is the same
-    as on n x n arrays. The preconditioner divides residuals by
-    precond_weights; only the final delta is scattered to n x n. Even a
+    g and x are pair-value vectors (`index_arrays` order). Inner products
+    weight the pairs by `pair_weights`, so they are the Frobenius products
+    of the symmetric matrices: the stop test is ||r||_F <= pcg_tol ||g||_F.
+    The preconditioner divides residuals by precond_weights. Even a
     truncated solution is a descent direction because the operator is SPD
     on the pattern subspace.
     """
-    rows, cols = pattern.index_arrays()
-    weight = np.where(rows == cols, 1.0, 2.0)  # tr(X Y) = sum(weight * x * y)
-    r = -g[rows, cols]  # residual of A x = -g at x = 0
+    weight = pair_weights(pattern)
+    r = -g  # residual of A x = -g at x = 0
     x = np.zeros_like(r)
     g_norm = np.sqrt(np.dot(weight * r, r))
     if g_norm == 0.0:
-        return _to_dense(x, pattern), True
+        return x, True
     w = spd_inverse(q)
-    apply = _newton_operator(w, pattern)
+    apply = hessian_apply(w, pattern)
     m = precond_weights(w, pattern)
     z = r / m
     p = z.copy()
@@ -218,33 +203,34 @@ def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern, cfg: MleConfi
         x += alpha * p
         r -= alpha * ap
         if np.sqrt(np.dot(weight * r, r)) <= cfg.pcg_tol * g_norm:
-            return _to_dense(x, pattern), True
+            return x, True
         z = r / m
         rz_new = np.dot(weight * r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return _to_dense(x, pattern), False
+    return x, False
 
 
 def armijo_spd_search(
-    q: SparseSpd, delta: np.ndarray, pattern: SupportPattern, descent: float, f0: float, objective
+    q: SparseSpd, step: np.ndarray, pattern: SupportPattern, descent: float, f0: float, objective
 ):
     """Backtracking line search with an SPD guard, shared by both Newton solvers.
 
-    Returns (alpha, q_new, f_new) for the largest alpha in {1, beta,
-    beta^2, ...} (beta = BACKTRACK_FACTOR, at most MAX_BACKTRACKS tries)
-    such that Q + alpha Delta, stored on the pattern (which holds the
-    supports of Q and Delta), passes Cholesky and satisfies the Armijo
+    step holds the pair values (`index_arrays` order) of a symmetric Delta
+    on the pattern, which holds Q's support. Returns (alpha, q_new, f_new)
+    for the largest alpha in {1, beta, beta^2, ...} (beta =
+    BACKTRACK_FACTOR, at most MAX_BACKTRACKS tries) such that Q + alpha
+    Delta, stored on the pattern, passes Cholesky and satisfies the Armijo
     condition objective(q_new) <= f0 + ARMIJO_C * alpha * descent. f0 is
     the objective at Q and descent its directional derivative along Delta.
-    Q and Delta are checked against the pattern once, here, so that every
+    Q's values are checked against the pattern once, here, so that every
     candidate lies on it without a check of its own.
     """
     if descent >= 0.0:
         raise LineSearchFailed(f"not a descent direction (descent {descent:g})")
-    off = ~pattern.mask()
-    if np.any(q.dense[off]) or np.any(delta[off]):
-        raise DimensionMismatch("Q or Delta has nonzeros outside the pattern")
+    if np.any(q.dense[~pattern.mask()]):
+        raise DimensionMismatch("Q has nonzeros outside the pattern")
+    delta = _to_dense(step, pattern)
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
         try:
@@ -260,13 +246,13 @@ def armijo_spd_search(
 
 
 def default_q0(s: np.ndarray, pattern: SupportPattern) -> SparseSpd:
-    """Diagonal starting point q_ii = 1 / max(s_ii, ridge floor)."""
-    d = np.diag(s).copy()
-    floor = RIDGE_EPS * max(float(np.mean(d)), np.finfo(float).tiny)
-    d = np.maximum(d, floor)
-    if np.any(d <= 0.0):
-        raise SingularCovariance("covariance diagonal is not positive")
-    return SparseSpd._stored(np.diag(1.0 / d), pattern)
+    """Diagonal starting point q_ii = 1 / max(s_ii, RIDGE_EPS * mean(diag S)),
+    or SingularCovariance if that floor is too small to invert (S = 0, say)."""
+    d = np.diag(s)
+    floor = RIDGE_EPS * float(np.mean(d))
+    if not floor >= np.finfo(float).tiny:  # also NaN
+        raise SingularCovariance("covariance diagonal is zero or too small to invert")
+    return SparseSpd._stored(np.diag(1.0 / np.maximum(d, floor)), pattern)
 
 
 def estimate_known_support(
@@ -277,10 +263,10 @@ def estimate_known_support(
 ) -> MleResult:
     """Projected Newton estimation of Q subject to Supp(Q) within the pattern.
 
-    Stops when the max-abs of the projected gradient drops below
-    cfg.outer_tol (only pattern entries are free variables) or after
-    cfg.max_outer_iters Newton steps; either way the result's grad_max is
-    that of the returned q.
+    Only the pattern pairs are free variables. Stops when the max-abs of
+    the gradient S - Q^{-1} over the pairs drops below cfg.outer_tol or
+    after cfg.max_outer_iters Newton steps; either way the result's
+    grad_max is that of the returned q.
     """
     s = check_symmetric(s)
     cfg = cfg or MleConfig()
@@ -293,17 +279,20 @@ def estimate_known_support(
             raise DimensionMismatch("q0 support is not contained in the pattern")
         q = SparseSpd._stored(q0.dense, pattern) if q0.pattern != pattern else q0
 
+    rows, cols = pattern.index_arrays()
+    s_pairs = s[rows, cols]
+    weight = pair_weights(pattern)
     trace = [neg_log_likelihood(q, s)]
     truncated = 0
     for iters in range(cfg.max_outer_iters + 1):
-        g = project_to_pattern(s - spd_inverse(q), pattern)
+        g = s_pairs - spd_inverse(q)[rows, cols]
         grad_max = float(np.max(np.abs(g)))
         if grad_max <= cfg.outer_tol or iters == cfg.max_outer_iters:
             break
         delta, pcg_converged = proj_pcg(q, g, pattern, cfg)
         truncated += not pcg_converged
         _, q, f_new = armijo_spd_search(
-            q, delta, pattern, pattern_trace(g, delta), trace[-1],
+            q, delta, pattern, float(np.dot(weight * g, delta)), trace[-1],
             lambda cand: neg_log_likelihood(cand, s),
         )
         trace.append(f_new)

@@ -108,13 +108,12 @@ def test_gradient_and_hessian_match_finite_differences():
         d = 0.5 * (d + d.T)
         d = np.where(pattern.mask(), d, 0.0)
         w = np.linalg.inv(q.dense)
-        hd = hessian_apply(0.5 * (w + w.T), d, pattern)
+        hd = hessian_apply(0.5 * (w + w.T), pattern)(d[rows, cols])
         eps = 1e-6
         gp = gradient(SparseSpd(q.dense + eps * d, pattern), s)
         gm = gradient(SparseSpd(q.dense - eps * d, pattern), s)
         fd_dir = (gp - gm) / (2 * eps)
-        fd_dir = np.where(pattern.mask(), fd_dir, 0.0)
-        assert np.max(np.abs(hd - fd_dir)) < 1e-4
+        assert np.max(np.abs(hd - fd_dir[rows, cols])) < 1e-4
     assert time.monotonic() - t0 < 5.0
 
 

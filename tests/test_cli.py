@@ -229,8 +229,9 @@ class TestFitAndEval:
         [
             ["--k", "0", "--estimator", "baseline"],
             ["--k", "1", "--estimator", "glasso", "--lambda", "-1"],
+            ["--k", "100", "--estimator", "baseline"],  # the data has 60-80 rows
         ],
-        ids=["k0", "negative-lambda"],
+        ids=["k0", "negative-lambda", "k-above-rows"],
     )
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, flags):
         out = generate_mixture(tmp_path)
@@ -449,18 +450,21 @@ class TestLambdaSweep:
         assert code == EXIT_OK
         assert len(calls) == 2
 
-    def test_bad_split_is_usage_error(self, tmp_path):
+    def test_bad_split_is_usage_error(self, tmp_path, capsys):
         data_dir = tmp_path / "lap"
         assert run(
             "generate", "--kind", "laplacian2d", "--rows", "2", "--cols", "2",
             "--samples", "20", "--seed", "0", "--out-dir", str(data_dir),
         ) == EXIT_OK
-        code = run(
-            "lambda-sweep", "--data", str(data_dir / "data.csv"),
-            "--lambda-grid", "0.1", "--split", "1.0",
-            "--out", str(tmp_path / "s.csv"),
-        )
-        assert code == EXIT_USAGE
+        capsys.readouterr()
+        for split in ("1.0", "nan", "inf", "-inf"):
+            code = run(
+                "lambda-sweep", "--data", str(data_dir / "data.csv"),
+                "--lambda-grid", "0.1", f"--split={split}",
+                "--out", str(tmp_path / "s.csv"),
+            )
+            assert "--split" in assert_one_line_usage_error(code, capsys)
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestConfigFile:
@@ -1001,7 +1005,11 @@ class TestCliFuzz:
         estimator=st.sampled_from(list(ESTIMATORS)),
         lam=st.one_of(st.none(), st.just("0.3"), REAL_TEXT),
         grid=st.lists(GRID_TEXT, min_size=1, max_size=3),
-        split=st.one_of(st.just("0.8"), st.floats(-0.5, 1.5).map(lambda x: f"{x:.3f}")),
+        split=st.one_of(
+            st.just("0.8"),
+            st.sampled_from(["nan", "inf", "-inf"]),
+            st.floats(-0.5, 1.5).map(lambda x: f"{x:.3f}"),
+        ),
         seed=st.integers(0, 3),
         estimators=st.lists(st.sampled_from([*ESTIMATORS, "wat"]), min_size=1, max_size=3),
     )

@@ -14,7 +14,6 @@ from gmrfmix.matrices import (
     cholesky,
     eigenvalues_sym,
     load_dense_csv,
-    project_to_pattern,
     save_dense_csv,
     spd_inverse,
     write_atomic_text,
@@ -68,11 +67,11 @@ class TestSupportPattern:
     def test_diagonal_always_included(self):
         p = SupportPattern(3, [(0, 1)])
         for i in range(3):
-            assert (i, i) in p
+            assert p.mask()[i, i]
 
     def test_symmetric_membership(self):
         p = SupportPattern(4, [(2, 0)])
-        assert (0, 2) in p and (2, 0) in p
+        assert p.mask()[0, 2] and p.mask()[2, 0]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -132,9 +131,9 @@ class TestSupportPatternProperties:
         (n, pa), (nb, pb) = a, b
         p, ref = SupportPattern(n, pa), pair_set(n, pa)
         assert len(p) == len(ref)
-        for i in range(-1, n + 1):
-            for j in range(-1, n + 1):
-                assert ((i, j) in p) == ((min(i, j), max(i, j)) in ref)
+        for i in range(n):
+            for j in range(n):
+                assert p.mask()[i, j] == ((min(i, j), max(i, j)) in ref)
         q = SupportPattern(nb, pb)
         assert p.issubset(q) == (n == nb and ref <= pair_set(nb, pb))
         grown = SupportPattern(n, pa + [(i, j) for i, j in pb if max(i, j) < n])
@@ -335,44 +334,6 @@ class TestSpdInverse:
         assert len(calls) == 1
         with pytest.raises(ValueError):
             first[0, 0] = 0.0
-
-
-class TestProjectToPattern:
-    def test_full_pattern_is_identity_map(self):
-        rng = np.random.default_rng(1)
-        m = random_spd(5, rng)
-        assert np.array_equal(project_to_pattern(m, SupportPattern.full(5)), m)
-
-    def test_diagonal_only(self):
-        rng = np.random.default_rng(2)
-        m = random_spd(5, rng)
-        assert np.array_equal(
-            project_to_pattern(m, SupportPattern.diagonal(5)), np.diag(np.diag(m))
-        )
-
-    def test_single_pair(self):
-        m = np.ones((3, 3))
-        p = SupportPattern(3, [(0, 1)])
-        out = project_to_pattern(m, p)
-        expected = np.eye(3)
-        expected[0, 1] = expected[1, 0] = 1.0
-        assert np.array_equal(out, expected)
-
-    def test_idempotent_and_linear(self):
-        rng = np.random.default_rng(4)
-        p = SupportPattern.from_mask(rng.random((6, 6)) < 0.3)
-        a = random_spd(6, rng)
-        b = random_spd(6, rng)
-        pa = project_to_pattern(a, p)
-        assert np.array_equal(project_to_pattern(pa, p), pa)
-        assert np.allclose(
-            project_to_pattern(2.0 * a + 3.0 * b, p),
-            2.0 * pa + 3.0 * project_to_pattern(b, p),
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            project_to_pattern(np.eye(3), SupportPattern.diagonal(2))
 
 
 class TestEigenvalues:

@@ -8,10 +8,11 @@ from scipy.optimize import minimize
 
 from gmrfmix import glasso, mle, synthetic
 from gmrfmix.errors import DimensionMismatch, LineSearchFailed, NotSpd, SingularCovariance
-from gmrfmix.matrices import SparseSpd, SupportPattern, project_to_pattern, spd_inverse
+from gmrfmix.matrices import SparseSpd, SupportPattern, spd_inverse
 from gmrfmix.mixture import BaselineEstimator, EmConfig, fit_em
 from gmrfmix.mle import (
     MleConfig,
+    _to_dense,
     armijo_spd_search,
     default_q0,
     dense_mle,
@@ -19,7 +20,7 @@ from gmrfmix.mle import (
     gradient,
     hessian_apply,
     neg_log_likelihood,
-    pattern_trace,
+    pair_weights,
     precond_weights,
     proj_pcg,
 )
@@ -50,7 +51,7 @@ class TestNegLogLikelihood:
         q = SparseSpd(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         assert neg_log_likelihood(q, np.eye(2)) == pytest.approx(-np.log(3.0) + 4.0)
 
-    def test_pattern_trace_matches_dense_trace(self):
+    def test_matches_dense_log_det_and_trace(self):
         rng = np.random.default_rng(0)
         q = random_sparse_spd(6, rng)
         a = rng.standard_normal((6, 6))
@@ -128,23 +129,44 @@ def test_numerically_singular_covariance_is_singular_covariance(k, n, per_dim, s
         fit_em(np.vstack(blocks), cfg, seed=seed)
 
 
+class TestPairWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_pair_dot_is_the_trace_product(self, n, fill, seed):
+        """np.dot(pair_weights * x, y) = sum(A * B) = tr(A B) for symmetric A, B
+        on the pattern (diagonal-only to full) with pair values x, y."""
+        rng = np.random.default_rng(seed)
+        pattern = SupportPattern.from_mask(rng.random((n, n)) < fill)
+        rows, cols = pattern.index_arrays()
+        a, b = (rng.standard_normal((n, n)) for _ in range(2))
+        a, b = (np.where(pattern.mask(), m + m.T, 0.0) for m in (a, b))
+        got = np.dot(pair_weights(pattern) * a[rows, cols], b[rows, cols])
+        scale = np.sum(np.abs(a * b))
+        assert got == pytest.approx(np.sum(a * b), rel=1e-12, abs=1e-12 * scale)
+
+
 class TestHessianApply:
+    # hessian_apply(w, pattern) maps pair values (index_arrays order) to pair values
     def test_identity_operator(self):
         rng = np.random.default_rng(3)
         p = SupportPattern.from_mask(rng.random((4, 4)) < 0.5)
+        rows, cols = p.index_arrays()
         a = rng.standard_normal((4, 4))
-        d = project_to_pattern(a + a.T, p)
-        assert np.allclose(hessian_apply(np.eye(4), d, p), d)
+        x = (a + a.T)[rows, cols]
+        assert np.allclose(hessian_apply(np.eye(4), p)(x), x)
 
     def test_scalar_scaling(self):
         p = SupportPattern.full(3)
-        d = np.diag([1.0, 2.0, 3.0])
-        assert np.allclose(hessian_apply(2.0 * np.eye(3), d, p), 4.0 * d)
+        rows, cols = p.index_arrays()
+        x = np.diag([1.0, 2.0, 3.0])[rows, cols]
+        assert np.allclose(hessian_apply(2.0 * np.eye(3), p)(x), 4.0 * x)
 
     def test_matrix_square(self):
         w = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
-        out = hessian_apply(w, np.eye(2), SupportPattern.full(2))
-        assert np.allclose(out, w @ w)
+        p = SupportPattern.full(2)
+        rows, cols = p.index_arrays()
+        out = hessian_apply(w, p)(np.eye(2)[rows, cols])
+        assert np.allclose(out, (w @ w)[rows, cols])
 
     def test_matches_directional_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -157,12 +179,13 @@ class TestHessianApply:
             d = rng.standard_normal((n, n))
             d = 0.1 * (d + d.T)
             w = spd_inverse(q)
-            analytic = hessian_apply(w, d, SupportPattern.full(n))
+            rows, cols = SupportPattern.full(n).index_arrays()
+            analytic = hessian_apply(w, SupportPattern.full(n))(d[rows, cols])
             gp = gradient(SparseSpd(q.dense + h * d), s)
             gm = gradient(SparseSpd(q.dense - h * d), s)
             fd = (gp - gm) / (2 * h)
             # Hessian of -log det is +W d W (the S term is linear)
-            assert np.max(np.abs(fd - analytic)) < 1e-4
+            assert np.max(np.abs(fd[rows, cols] - analytic)) < 1e-4
 
 
 class TestPrecondWeights:
@@ -187,41 +210,50 @@ class TestPrecondWeights:
         assert m.shape == (21,) and np.all(m > 0)
 
 
+def frobenius(x, pattern):
+    """||X||_F of the symmetric matrix with pair values x."""
+    return np.sqrt(np.dot(pair_weights(pattern) * x, x))
+
+
 class TestProjPcg:
+    # g and the direction are pair values on the pattern (index_arrays order)
     def test_identity_w(self):
         rng = np.random.default_rng(6)
         q = SparseSpd(np.eye(4))
+        rows, cols = SupportPattern.full(4).index_arrays()
         g = rng.standard_normal((4, 4))
-        g = 0.5 * (g + g.T)
+        g = (0.5 * (g + g.T))[rows, cols]
         delta, ok = proj_pcg(q, g, SupportPattern.full(4), MleConfig())
         assert ok and np.allclose(delta, -g, atol=1e-8)
 
     def test_scaled_identity(self):
         rng = np.random.default_rng(7)
         q = SparseSpd(2.0 * np.eye(3))
+        rows, cols = SupportPattern.full(3).index_arrays()
         g = rng.standard_normal((3, 3))
-        g = 0.5 * (g + g.T)
+        g = (0.5 * (g + g.T))[rows, cols]
         delta, ok = proj_pcg(q, g, SupportPattern.full(3), MleConfig(pcg_tol=1e-10))
         assert ok and np.allclose(delta, -4.0 * g, atol=1e-6)
 
     def test_diagonal_pattern(self):
         q = SparseSpd(np.diag([1.0, 4.0]))
-        g = np.diag([0.0, 0.75])
+        g = np.array([0.0, 0.75])
         delta, ok = proj_pcg(q, g, SupportPattern.diagonal(2), MleConfig(pcg_tol=1e-12))
-        assert ok and np.allclose(delta, np.diag([0.0, -12.0]))
+        assert ok and np.allclose(delta, [0.0, -12.0])
 
     def test_residual_tolerance(self):
         rng = np.random.default_rng(8)
         q = random_sparse_spd(8, rng)
         pattern = q.pattern
+        rows, cols = pattern.index_arrays()
         a = rng.standard_normal((8, 8))
-        g = project_to_pattern(0.5 * (a + a.T) + np.eye(8), pattern)
+        g = (0.5 * (a + a.T) + np.eye(8))[rows, cols]
         cfg = MleConfig(pcg_tol=1e-3)
         w = spd_inverse(q)
         delta, ok = proj_pcg(q, g, pattern, cfg)
         assert ok
-        resid = hessian_apply(w, delta, pattern) + g
-        assert np.linalg.norm(resid) <= cfg.pcg_tol * np.linalg.norm(g)
+        resid = hessian_apply(w, pattern)(delta) + g
+        assert frobenius(resid, pattern) <= cfg.pcg_tol * frobenius(g, pattern)
 
 
 @pytest.mark.parametrize("sparse_fill", [0.0, 1.0], ids=["dense-products", "sparse-products"])
@@ -247,16 +279,15 @@ class TestNewtonOperatorProperties:
         rows, cols = pattern.index_arrays()
         with mock.patch.object(mle, "SPARSE_FILL", sparse_fill), \
                 mock.patch.object(mle, "GATHER_ELEMS", 8):
-            got = mle._newton_operator(w, pattern)(delta[rows, cols])
-            dense = hessian_apply(w, delta, pattern)
+            apply = hessian_apply(w, pattern)
+            got = apply(delta[rows, cols])
+            again = apply(delta[rows, cols])
         want = (w @ delta @ w)[rows, cols]
         # rtol on each entry, and the same tolerance on the scale of the
         # products for entries that cancel to near zero
         atol = 1e-12 * np.linalg.norm(w, 2) ** 2 * np.abs(delta).sum()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
-        np.testing.assert_array_equal(dense, np.where(pattern.mask(), dense, 0.0))
-        np.testing.assert_array_equal(dense[rows, cols], got)
-        np.testing.assert_array_equal(dense, dense.T)
+        np.testing.assert_array_equal(again, got)  # the held Delta is fully overwritten
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -265,22 +296,27 @@ class TestNewtonOperatorProperties:
     )
     def test_pcg_direction_meets_its_tolerance(self, sparse_fill, n, fill, seed, tol, iters):
         pattern, q, g = self.draw(n, fill, seed)
+        rows, cols = pattern.index_arrays()
         cfg = MleConfig(pcg_tol=tol, max_pcg_iters=iters)
         with mock.patch.object(mle, "SPARSE_FILL", sparse_fill), \
                 mock.patch.object(mle, "GATHER_ELEMS", 8):
-            delta, ok = proj_pcg(q, g, pattern, cfg)
-        np.testing.assert_array_equal(delta, delta.T)
-        assert not np.any(delta[~pattern.mask()])
+            delta, ok = proj_pcg(q, g[rows, cols], pattern, cfg)
+        assert delta.shape == rows.shape
         if ok:
             w = spd_inverse(q)
-            resid = np.where(pattern.mask(), w @ delta @ w, 0.0) + g
+            resid = np.where(pattern.mask(), w @ _to_dense(delta, pattern) @ w, 0.0) + g
             assert np.linalg.norm(resid) <= cfg.pcg_tol * np.linalg.norm(g)
 
 
 def nll_search(q, s, g, delta, pattern=None):
-    """The known-support MLE's call of the shared line search."""
+    """The known-support MLE's call of the shared line search, with the
+    gradient g and step delta given as symmetric matrices and passed as
+    their pair values on the search pattern."""
+    pattern = q.pattern if pattern is None else pattern
+    rows, cols = pattern.index_arrays()
+    step = delta[rows, cols]
     return armijo_spd_search(
-        q, delta, q.pattern if pattern is None else pattern, pattern_trace(g, delta),
+        q, step, pattern, np.dot(pair_weights(pattern) * g[rows, cols], step),
         neg_log_likelihood(q, s), lambda cand: neg_log_likelihood(cand, s),
     )
 
@@ -319,8 +355,9 @@ class TestArmijoSpd:
         delta = np.linalg.inv(s) - np.eye(3)
         delta[np.abs(delta) < 1e-15] = 0.0
         free = SupportPattern.full(3)
-        with pytest.raises(DimensionMismatch):
-            nll_search(q, s, s - np.eye(3), delta)
+        with pytest.raises(DimensionMismatch):  # Q has values outside the search pattern
+            nll_search(SparseSpd(np.linalg.inv(s)), s, np.eye(3), -0.5 * np.eye(3),
+                       pattern=SupportPattern.diagonal(3))
         alpha, q_new, f_new = nll_search(q, s, s - np.eye(3), delta, pattern=free)
         assert alpha == 1.0
         assert q_new.pattern == free
@@ -424,11 +461,23 @@ class TestEstimateKnownSupport:
         a = rng.standard_normal((40, 8))
         s = a.T @ a / 40
         res = estimate_known_support(s, q_true.pattern, cfg=MleConfig(max_outer_iters=cap))
-        g = project_to_pattern(s - spd_inverse(res.q), q_true.pattern)
+        rows, cols = q_true.pattern.index_arrays()
+        g = (s - spd_inverse(res.q))[rows, cols]
         assert res.grad_max == np.max(np.abs(g))
         assert res.converged == (res.grad_max <= 1e-6)
         assert res.iterations == len(res.objective_trace) - 1 <= cap
         assert res.converged != (cap < 3)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-310])
+    def test_zero_covariance_is_singular_covariance(self, scale):
+        """A one-point component's covariance: the ridge floor of the starting
+        point would be zero or subnormal, and its reciprocal overflow."""
+        s = scale * np.eye(2)
+        with np.errstate(all="raise"):
+            with pytest.raises(SingularCovariance, match="too small to invert"):
+                estimate_known_support(s, SupportPattern.full(2))
+            with pytest.raises(SingularCovariance, match="too small to invert"):
+                glasso.glasso_solve(s, glasso.GlassoConfig(lam=0.3))
 
     def test_default_q0_is_inverse_diagonal(self):
         s = np.array([[2.0, 0.1], [0.1, 5.0]])
