@@ -188,8 +188,6 @@ class SparseSpd:
         self.chol = cholesky(matrix)
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
         self._inverse = None  # filled by spd_inverse
-        # index arrays over the pattern (i <= j): one entry per stored value
-        self.pair_rows, self.pair_cols = pattern.index_arrays()
 
     @classmethod
     def _stored(cls, matrix: np.ndarray, pattern: SupportPattern) -> "SparseSpd":
@@ -205,7 +203,7 @@ class SparseSpd:
 
     def values(self) -> np.ndarray:
         """One value per pattern pair (i <= j), in sorted pair order."""
-        return self._dense[self.pair_rows, self.pair_cols]
+        return self._dense[self.pattern.index_arrays()]
 
     def quad_form(self, d: np.ndarray) -> np.ndarray:
         """d^T Q d as the squared norm of L^T d, from the cached Cholesky factor.
@@ -225,7 +223,8 @@ class SparseSpd:
 
     def to_json(self) -> dict:
         """{"n": n, "triplets": [[i, j, value], ...]} over the pattern pairs (i <= j)."""
-        fields = (self.pair_rows.tolist(), self.pair_cols.tolist(), self.values().tolist())
+        rows, cols = self.pattern.index_arrays()
+        fields = (rows.tolist(), cols.tolist(), self.values().tolist())
         return {"n": self.n, "triplets": list(map(list, zip(*fields)))}
 
     @classmethod

@@ -43,7 +43,7 @@ class MleConfig:
     max_pcg_iters: int = 200
 
     def __post_init__(self):
-        if self.outer_tol <= 0 or self.pcg_tol <= 0:
+        if not (self.outer_tol > 0 and self.pcg_tol > 0):  # also rejects NaN
             raise ValueError("tolerances must be positive")
         if min(self.max_outer_iters, self.max_pcg_iters) < 1:
             raise ValueError("iteration counts must be >= 1")
@@ -159,6 +159,32 @@ def hessian_apply(w: np.ndarray, pattern: SupportPattern):
         return out
 
     return apply
+
+
+def hessian_matrix(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
+    """The |P| x |P| matrix H of the Newton operator: H @ x == hessian_apply(w, pattern)(x).
+
+    H[k, l] = W[r_k, r_l] W[c_k, c_l] + W[r_k, c_l] W[c_k, r_l] for pairs
+    k = (r_k, c_k) and l = (r_l, c_l), with the columns of diagonal pairs
+    halved, since a diagonal pair value enters Delta once, not twice. Rows
+    are filled GATHER_ELEMS / |P| at a time, so H is the one |P| x |P|
+    array built.
+    """
+    rows, cols = pattern.index_arrays()
+    w_rows, w_cols = w[rows], w[cols]  # W[r_k, :] and W[c_k, :], |P| x n
+    half = np.where(rows == cols, 0.5, 1.0)
+    h = np.empty((len(rows), len(rows)))
+    step = max(1, GATHER_ELEMS // len(rows))
+    for lo in range(0, len(rows), step):
+        hi = lo + step
+        block = h[lo:hi]
+        np.take(w_rows[lo:hi], rows, axis=1, out=block)
+        block *= np.take(w_cols[lo:hi], cols, axis=1)
+        cross = np.take(w_rows[lo:hi], cols, axis=1)
+        cross *= np.take(w_cols[lo:hi], rows, axis=1)
+        block += cross
+        block *= half
+    return h
 
 
 def precond_weights(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gmrfmix import glasso
 from gmrfmix.glasso import (
     GlassoConfig,
     debias,
@@ -80,14 +81,14 @@ class TestLassoDirection:
     def test_already_optimal_scalar(self):
         q = SparseSpd(np.array([[1.0]]))
         cfg = GlassoConfig(lam=0.3)
-        d = lasso_newton_direction(q, np.array([[1.0]]), SupportPattern.full(1), cfg)
-        assert np.allclose(d, 0.0)
+        d, sweeps = lasso_newton_direction(q, np.array([[1.0]]), SupportPattern.full(1), cfg)
+        assert np.allclose(d, 0.0) and sweeps == 1
 
     def test_scalar_newton_step(self):
         q = SparseSpd(np.array([[2.0]]))
         cfg = GlassoConfig(lam=0.3)
-        d = lasso_newton_direction(q, np.array([[1.0]]), SupportPattern.full(1), cfg)
-        assert np.allclose(d, [-2.0])
+        d, sweeps = lasso_newton_direction(q, np.array([[1.0]]), SupportPattern.full(1), cfg)
+        assert np.allclose(d, [-2.0]) and sweeps == 2
 
     def test_zero_lambda_matches_proj_pcg(self):
         rng = np.random.default_rng(1)
@@ -95,7 +96,7 @@ class TestLassoDirection:
         s = random_cov(5, rng)
         full = SupportPattern.full(5)
         cfg = GlassoConfig(lam=0.0, lasso_inner_iters=400, sub_tol=1e-12)
-        d_cd = lasso_newton_direction(q, s, full, cfg)
+        d_cd, _ = lasso_newton_direction(q, s, full, cfg)
         rows, cols = full.index_arrays()
         g = (s - spd_inverse(q))[rows, cols]
         d_cg, _ = proj_pcg(q, g, full, MleConfig(pcg_tol=1e-10, max_pcg_iters=2000))
@@ -118,9 +119,48 @@ class TestLassoDirection:
         prev = sub_obj(np.zeros((6, 6)))
         for sweeps in (1, 2, 4, 8):
             cfg_k = GlassoConfig(lam=0.2, lasso_inner_iters=sweeps, sub_tol=1e-14)
-            val = sub_obj(_to_dense(lasso_newton_direction(q, s, f, cfg_k), f))
+            val = sub_obj(_to_dense(lasso_newton_direction(q, s, f, cfg_k)[0], f))
             assert val <= prev + 1e-12
             prev = val
+
+
+
+@pytest.mark.parametrize("penalize_diagonal", [False, True], ids=["diag-free", "diag-penalized"])
+@pytest.mark.parametrize("seed", range(6))
+def test_explicit_and_product_loops_agree(monkeypatch, seed, penalize_diagonal):
+    """The explicit-matrix loop and the U = Delta W loop give the same direction
+    and sweep count on random SPD Q, covariance S and free set (n 2-12); the
+    fallback, reached by lowering HESSIAN_ELEMS, builds no |F| x |F| matrix."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    a = rng.standard_normal((n, n))
+    q = SparseSpd(a @ a.T / n + 0.5 * np.eye(n), SupportPattern.full(n))
+    s = random_cov(n, rng)
+    free = SupportPattern.from_mask(rng.random((n, n)) < rng.uniform(0.0, 1.0))
+    cfg = GlassoConfig(lam=float(rng.uniform(0.02, 0.3)), penalize_diagonal=penalize_diagonal)
+    explicit, sweeps = lasso_newton_direction(q, s, free, cfg)
+
+    def no_matrix(*args):
+        raise AssertionError("the fallback built the explicit Newton matrix")
+
+    monkeypatch.setattr(glasso, "HESSIAN_ELEMS", len(free) ** 2 - 1)
+    monkeypatch.setattr(glasso, "hessian_matrix", no_matrix)
+    product, product_sweeps = lasso_newton_direction(q, s, free, cfg)
+    assert product_sweeps == sweeps
+    np.testing.assert_allclose(explicit, product, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(product))))
+
+
+def test_solve_sweeps_total_the_directions_sweeps(monkeypatch):
+    ran = []
+
+    def counted(*args):
+        delta, sweeps = lasso_newton_direction(*args)
+        ran.append(sweeps)
+        return delta, sweeps
+
+    monkeypatch.setattr(glasso, "lasso_newton_direction", counted)
+    res = glasso_solve(random_cov(6, np.random.default_rng(15)), GlassoConfig(lam=0.1))
+    assert len(ran) == res.iterations >= 1 and res.sweeps == sum(ran)
 
 
 class TestGlassoSolve:
@@ -309,3 +349,10 @@ def test_entry_points_reject_asymmetric_covariance(solve):
 def test_config_rejects_lambda_that_is_not_finite_and_non_negative(lam):
     with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
         GlassoConfig(lam=lam)
+
+
+@pytest.mark.parametrize("field", ["newton_tol", "sub_tol"])
+@pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan], ids=["zero", "negative", "nan"])
+def test_config_rejects_tolerance_that_is_not_positive(field, tol):
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        GlassoConfig(**{field: tol})

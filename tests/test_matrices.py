@@ -287,7 +287,7 @@ class TestStoredConstruction:
     def test_equals_the_checked_construction(self):
         m = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         q, stored = SparseSpd(m), SparseSpd._stored(m.copy(), SparseSpd(m).pattern)
-        for attr in ("dense", "chol", "pair_rows", "pair_cols"):
+        for attr in ("dense", "chol"):
             assert np.array_equal(getattr(stored, attr), getattr(q, attr))
         assert stored.log_det == q.log_det and stored.pattern == q.pattern and stored.n == 3
         assert not stored.dense.flags.writeable

@@ -19,6 +19,7 @@ from gmrfmix.mle import (
     estimate_known_support,
     gradient,
     hessian_apply,
+    hessian_matrix,
     neg_log_likelihood,
     pair_weights,
     precond_weights,
@@ -308,6 +309,30 @@ class TestNewtonOperatorProperties:
             assert np.linalg.norm(resid) <= cfg.pcg_tol * np.linalg.norm(g)
 
 
+@pytest.mark.parametrize("sparse_fill", [0.0, 1.0], ids=["dense-products", "sparse-products"])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_hessian_matrix_is_the_operator(sparse_fill, n, fill, seed):
+    """hessian_matrix(w, p) @ x equals hessian_apply(w, p)(x) through either of
+    its products, on random SPD W and patterns from diagonal-only to full
+    (built 8 / |P| rows at a time, so in several blocks), and
+    pair_weights(p)[:, None] * H is symmetric (the operator is self-adjoint in
+    the trace inner product)."""
+    pattern, q, delta = TestNewtonOperatorProperties.draw(n, fill, seed)
+    w = spd_inverse(q)
+    rows, cols = pattern.index_arrays()
+    x = delta[rows, cols]
+    with mock.patch.object(mle, "SPARSE_FILL", sparse_fill), \
+            mock.patch.object(mle, "GATHER_ELEMS", 8):
+        h = hessian_matrix(w, pattern)
+        want = hessian_apply(w, pattern)(x)
+    assert h.shape == (len(rows), len(rows))
+    atol = 1e-12 * np.abs(h).max() * np.abs(x).sum()
+    np.testing.assert_allclose(h @ x, want, rtol=1e-12, atol=atol)
+    weighted = pair_weights(pattern)[:, None] * h
+    np.testing.assert_allclose(weighted, weighted.T, rtol=1e-12, atol=1e-12 * np.abs(weighted).max())
+
+
 def nll_search(q, s, g, delta, pattern=None):
     """The known-support MLE's call of the shared line search, with the
     gradient g and step delta given as symmetric matrices and passed as
@@ -491,6 +516,13 @@ def lattice_problem():
     x = synthetic.sample_gmrf(q_true, None, 300, seed=44)
     s = x.T @ x / x.shape[0]
     return q_true, 0.5 * (s + s.T)
+
+
+@pytest.mark.parametrize("field", ["outer_tol", "pcg_tol"])
+@pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan], ids=["zero", "negative", "nan"])
+def test_config_rejects_tolerance_that_is_not_positive(field, tol):
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        MleConfig(**{field: tol})
 
 
 def test_pcg_truncated_counts_newton_steps_with_truncated_pcg(monkeypatch):
