@@ -52,4 +52,4 @@ from .synthetic import (
     make_clustering_dataset,
     sample_gmrf,
 )
-from .evaluation import BiasReport, bias_report, kkt_sign_check, nmi, vi
+from .evaluation import BiasReport, bias_report, nmi, vi

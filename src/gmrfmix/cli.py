@@ -23,7 +23,7 @@ from . import __version__
 from .errors import DimensionMismatch, GmrfError
 from .evaluation import bias_report, nmi, save_eigenvalue_csv, vi
 from .glasso import GlassoConfig, glasso_solve, refit
-from .matrices import SparseSpd, SupportPattern, load_dense_csv, write_atomic_text
+from .matrices import SparseSpd, SupportPattern, load_dense_csv, load_labels, write_atomic_text
 from .mixture import (
     BaselineEstimator,
     DebiasedEstimator,
@@ -222,7 +222,7 @@ def cmd_eval(args) -> None:
     model = _read_json_input("--model", args.model, MixtureModel.from_json)
     data = load_dense_csv(args.data)
     _check_columns("--model", args.model, model.n, data.shape[1])
-    labels = np.loadtxt(args.labels, dtype=int, ndmin=1)
+    labels = load_labels(args.labels)
     if labels.shape[0] != data.shape[0]:
         raise UsageError(
             f"labels length {labels.shape[0]} differs from data rows {data.shape[0]}"

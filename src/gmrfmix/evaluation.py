@@ -3,7 +3,7 @@
 NMI uses the arithmetic mean of entropies as its normalizer; both metrics
 use natural logarithms. The bias report compares estimator spectra against
 a ground-truth precision and records Gershgorin and stationarity data for
-a graphical-lasso estimate.
+a graphical-lasso estimate, reading its residuals from `glasso.stationarity_gap`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, LengthMismatch
+from .glasso import GlassoConfig, stationarity_gap
 from .matrices import SparseSpd, eigenvalues_sym, spd_inverse, write_atomic_text
 
 
@@ -101,34 +102,6 @@ def mean_relative_eigenvalue_error(true_eigs: np.ndarray, est_eigs: np.ndarray) 
     return float(np.mean(np.abs(e - t) / t))
 
 
-def _kkt_signs(q_lam: SparseSpd, s: np.ndarray, lam: float):
-    """kkt_sign_check's (fraction, max residual), then the residual matrix
-    |W - S - lam * sign(Q)| (W = Q^{-1}) and the mask of the entries the
-    fraction counts."""
-    q = q_lam.dense
-    resid = np.abs(spd_inverse(q_lam) - s - lam * np.sign(q))
-    nz = (q != 0.0) & ~np.eye(q_lam.n, dtype=bool)
-    max_resid = float(np.max(resid[nz])) if np.any(nz) else 0.0
-    eligible = nz & (np.abs(s) > lam)
-    if not np.any(eligible):
-        return 1.0, max_resid, resid, eligible
-    opposed = np.sign(s[eligible]) == -np.sign(q[eligible])
-    return float(np.mean(opposed)), max_resid, resid, eligible
-
-
-def kkt_sign_check(q_lam: SparseSpd, s: np.ndarray, lam: float):
-    """Sign-opposition fraction and max stationarity residual of a lasso estimate.
-
-    Over off-diagonal entries with q_ij != 0 and |s_ij| > lam, counts how
-    often sign(s_ij) == -sign(q_ij); also reports the max of
-    |w_ij - s_ij - lam * sign(q_ij)| over the nonzero off-diagonals.
-    """
-    if s.shape[0] != q_lam.n:
-        raise DimensionMismatch("dimension mismatch")
-    frac, max_resid, _, _ = _kkt_signs(q_lam, s, lam)
-    return frac, max_resid
-
-
 def bias_report(
     q_true: SparseSpd,
     s: np.ndarray,
@@ -141,7 +114,9 @@ def bias_report(
     For the estimate named glasso_name, additionally records per-row
     Gershgorin data of its inverse (centers S_ii, disc radii, and the bound
     built from the stationarity error matrix E = (W - S) / lambda) and the
-    per-entry sign table.
+    per-entry sign table over its off-diagonal nonzeros with |S_ij| > lambda,
+    with the share of them where sign(S_ij) = -sign(Q_ij) (1.0 if none) and
+    the largest stationarity gap over all its off-diagonal nonzeros.
     """
     true_eigs = eigenvalues_sym(q_true.dense)
     report = BiasReport()
@@ -164,18 +139,20 @@ def bias_report(
         bound_out = np.sum(
             np.where(off & ~in_supp, np.abs(s - lam * e_mat), 0.0), axis=1
         )
+        resid = stationarity_gap(q.dense, w, s, GlassoConfig(lam=lam))
+        eligible = in_supp & (np.abs(s) > lam)
+        opposed = np.sign(s[eligible]) == -np.sign(q.dense[eligible])
         report.gershgorin = {
             "centers": np.diag(s).tolist(),
             "radii": np.sum(np.where(off, np.abs(w), 0.0), axis=1).tolist(),
             "bound": (bound_in + bound_out).tolist(),
+            "sign_opposition_fraction": float(np.mean(opposed)) if opposed.size else 1.0,
+            "max_kkt_residual": float(np.max(resid[in_supp], initial=0.0)),
         }
-        frac, max_resid, resid, eligible = _kkt_signs(q, s, lam)
         ii, jj = np.nonzero(np.triu(eligible))
         columns = (ii, jj, np.sign(s[ii, jj]), np.sign(q.dense[ii, jj]), resid[ii, jj])
         keys = ("i", "j", "sign_s", "sign_q", "residual")
         report.kkt_signs = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
-        report.gershgorin["sign_opposition_fraction"] = frac
-        report.gershgorin["max_kkt_residual"] = max_resid
     return report
 
 

@@ -19,6 +19,9 @@ updates of length n per coordinate. Both loops visit the same coordinates
 with the same soft-threshold update and stopping rule, so their
 directions agree up to rounding.
 
+The optimality conditions are stated once, in `stationarity_gap`: the stop
+test, the `kkt_residual`, the free set and `bias_report` all read it.
+
 Debiasing keeps only the support of the lasso estimate and re-solves the
 support-constrained MLE, warm-started at the lasso iterate (`refit`).
 """
@@ -92,15 +95,35 @@ def glasso_objective(q: SparseSpd, s: np.ndarray, cfg: GlassoConfig) -> float:
     return neg_log_likelihood(q, s) + _l1_penalty(q.dense, cfg)
 
 
-def free_set(q: SparseSpd, s: np.ndarray, lam: float) -> SupportPattern:
+def _penalized(n: int, cfg: GlassoConfig) -> np.ndarray:
+    """Mask of the l1-penalized entries: off the diagonal, and on it under penalize_diagonal."""
+    return ~np.eye(n, dtype=bool) | cfg.penalize_diagonal
+
+
+def stationarity_gap(q: np.ndarray, w: np.ndarray, s: np.ndarray, cfg: GlassoConfig) -> np.ndarray:
+    """Per entry, the distance of 0 from the subdifferential of the penalized objective at Q.
+
+    With G = S - W (W = Q^{-1}) and Lambda = lam on penalized entries, 0 on
+    the unpenalized diagonal: |G_ij + Lambda_ij sign(Q_ij)| where Q_ij != 0,
+    and max(|G_ij| - Lambda_ij, 0) where Q_ij = 0.
+    """
+    g = s - w
+    lam = cfg.lam * _penalized(q.shape[0], cfg)
+    return np.where(q != 0.0, np.abs(g + lam * np.sign(q)), np.maximum(np.abs(g) - lam, 0.0))
+
+
+def kkt_residual(q: np.ndarray, w: np.ndarray, s: np.ndarray, cfg: GlassoConfig) -> float:
+    """Max violation of the stationarity conditions: the max of `stationarity_gap`."""
+    return float(np.max(stationarity_gap(q, w, s, cfg)))
+
+
+def free_set(q: SparseSpd, gap: np.ndarray) -> SupportPattern:
     """Entries allowed to move in one proximal-Newton iteration.
 
-    Current nonzeros of Q plus entries where |S_ij - W_ij| exceeds lambda
-    (W = Q^{-1}); the diagonal is always included since it is unpenalized
-    and must stay free.
+    Current nonzeros of Q (the diagonal among them) plus the zeros whose
+    `stationarity_gap` is positive, i.e. where |S_ij - W_ij| exceeds lambda.
     """
-    viol = np.abs(s - spd_inverse(q)) > lam
-    return SupportPattern.from_mask((q.dense != 0.0) | viol)
+    return SupportPattern.from_mask((q.dense != 0.0) | (gap > 0.0))
 
 
 def _lasso_step(b: float, a: float, c: float, t: float | None) -> float:
@@ -133,7 +156,7 @@ def lasso_newton_direction(
     w = spd_inverse(q)
     rows, cols = free.index_arrays()
     a = precond_weights(w, free)  # the diagonal of the Newton operator
-    penalized = (rows != cols) | cfg.penalize_diagonal
+    penalized = _penalized(q.n, cfg)[rows, cols]
     # Per-coordinate scalars are gathered once into Python floats: numpy
     # scalar indexing, not arithmetic, dominated each coordinate update.
     coords = list(
@@ -191,33 +214,6 @@ def _product_sweeps(
     return np.array(steps), sweeps
 
 
-def kkt_residual(q: np.ndarray, w: np.ndarray, s: np.ndarray, cfg: GlassoConfig) -> float:
-    """Max violation of the stationarity conditions of the penalized problem.
-
-    For unpenalized entries: |W_ij - S_ij|. For penalized nonzero entries:
-    |W_ij - S_ij - lam * sign(Q_ij)|. For penalized zero entries:
-    max(0, |W_ij - S_ij| - lam).
-    """
-    lam = cfg.lam
-    resid = w - s
-    penalized = ~np.eye(q.shape[0], dtype=bool)
-    if cfg.penalize_diagonal:
-        penalized = np.ones_like(penalized)
-    nonzero = q != 0.0
-
-    viol = np.abs(resid)  # unpenalized entries
-    pen_nz = penalized & nonzero
-    pen_z = penalized & ~nonzero
-    out = 0.0
-    if np.any(~penalized):
-        out = float(np.max(viol[~penalized]))
-    if np.any(pen_nz):
-        out = max(out, float(np.max(np.abs(resid - lam * np.sign(q))[pen_nz])))
-    if np.any(pen_z):
-        out = max(out, float(np.max(np.maximum(0.0, viol - lam)[pen_z])))
-    return out
-
-
 def _prune(q: np.ndarray) -> SparseSpd:
     kept = np.abs(q) > PRUNE_EPS
     np.fill_diagonal(kept, True)
@@ -229,30 +225,32 @@ def glasso_solve(
 ) -> GlassoResult:
     """Proximal-Newton graphical lasso.
 
-    Converged when the KKT max-violation drops below newton_tol. The result
+    Each Newton step computes `stationarity_gap` once: converged when its max
+    drops below newton_tol, and otherwise it gives the free set. The result
     pattern has numerically-zero entries pruned (diagonal always kept), and
     its kkt_residual is that of the pruned estimate, converged or not.
     """
     s = check_symmetric(s)
     q = q0 if q0 is not None else default_q0(s, SupportPattern.diagonal(s.shape[0]))
+    penalized = _penalized(s.shape[0], cfg)
     trace = [glasso_objective(q, s, cfg)]
     converged = False
     iters = sweeps = 0
     for t in range(cfg.max_newton_iters):
         w = spd_inverse(q)
-        kkt = kkt_residual(q.dense, w, s, cfg)
-        if kkt <= cfg.newton_tol:
+        gap = stationarity_gap(q.dense, w, s, cfg)
+        if np.max(gap) <= cfg.newton_tol:
             converged = True
             break
-        free = free_set(q, s, cfg.lam)
+        free = free_set(q, gap)
         delta, ran = lasso_newton_direction(q, s, free, cfg)
         sweeps += ran
 
         rows, cols = free.index_arrays()
         weight = pair_weights(free)
-        penalized = weight if cfg.penalize_diagonal else np.where(rows == cols, 0.0, weight)
         q_free = q.dense[rows, cols]
-        l1_change = cfg.lam * np.dot(penalized, np.abs(q_free + delta) - np.abs(q_free))
+        l1_weight = np.where(penalized[rows, cols], weight, 0.0)
+        l1_change = cfg.lam * np.dot(l1_weight, np.abs(q_free + delta) - np.abs(q_free))
         descent = float(np.dot(weight * (s[rows, cols] - w[rows, cols]), delta) + l1_change)
         if descent >= 0.0:
             # subproblem produced no usable direction; report where we are
@@ -265,10 +263,11 @@ def glasso_solve(
         iters = t + 1
 
     result_q = _prune(q.dense)
+    gap = stationarity_gap(result_q.dense, spd_inverse(result_q), s, cfg)
     return GlassoResult(
         q=result_q,
         objective_trace=trace,
-        kkt_residual=kkt_residual(result_q.dense, spd_inverse(result_q), s, cfg),
+        kkt_residual=float(np.max(gap)),
         converged=converged,
         iterations=iters,
         sweeps=sweeps,

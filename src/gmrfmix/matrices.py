@@ -250,7 +250,8 @@ def _read_triplets(obj) -> tuple[int, np.ndarray, np.ndarray]:
 
     The one reader of the format SparseSpd.to_json writes. ValueError unless
     n is a JSON integer >= 1 and each triplet is three JSON numbers: integers
-    i and j in [0, n), and a finite value.
+    i and j in [0, n), and a finite value; and unless each unordered pair
+    {i, j} appears in one triplet at most.
     """
     if not isinstance(obj, dict) or not {"n", "triplets"} <= obj.keys():
         raise ValueError('expected an object with keys "n" and "triplets"')
@@ -273,6 +274,15 @@ def _read_triplets(obj) -> tuple[int, np.ndarray, np.ndarray]:
         k = int(np.argmax(bad))
         raise ValueError(
             f"triplet {k} {trips[k].tolist()}: need integers i, j in [0, {n}) and a finite value"
+        )
+    _, first, pair = np.unique(np.sort(ij, axis=1), axis=0, return_index=True, return_inverse=True)
+    first = first[pair.reshape(-1)]  # per triplet, the first triplet on its unordered pair
+    repeat = first != np.arange(len(ij))
+    if repeat.any():
+        k = int(np.argmax(repeat))
+        raise ValueError(
+            f"triplet {k} {trips[k].tolist()}: repeats the pair of triplet {first[k]};"
+            " each unordered pair may appear once"
         )
     return n, ij.astype(np.intp), trips[:, 2]
 
@@ -303,13 +313,24 @@ def save_dense_csv(m: np.ndarray, path: str) -> None:
     write_atomic_text(path, buf.getvalue())
 
 
-def load_dense_csv(path: str) -> np.ndarray:
-    """Load a comma-separated 2-d array; ValueError names the file on NaN, Inf or no data."""
+def _load_text(path: str, **kwargs) -> np.ndarray:
+    """np.loadtxt without its empty-file warning; ValueError names the file on no data."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt's empty-file warning
-        m = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        warnings.simplefilter("ignore", UserWarning)
+        m = np.loadtxt(path, **kwargs)
     if m.size == 0:
         raise ValueError(f"{path} contains no data")
+    return m
+
+
+def load_labels(path: str) -> np.ndarray:
+    """Load integer labels, one per line; ValueError names the file on no data."""
+    return _load_text(path, dtype=int, ndmin=1)
+
+
+def load_dense_csv(path: str) -> np.ndarray:
+    """Load a comma-separated 2-d array; ValueError names the file on NaN, Inf or no data."""
+    m = _load_text(path, delimiter=",", dtype=np.float64, ndmin=2)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path} contains NaN or Inf values")
     return m

@@ -718,6 +718,23 @@ class TestNonFiniteAndMalformedInput:
         )
         assert str(model) in assert_one_line_usage_error(code, capsys)
 
+    @pytest.mark.parametrize(
+        "text", ["", "\n\n", "# no labels\n"], ids=["empty", "blank-lines", "comment-only"]
+    )
+    def test_eval_labels_without_data_is_named(self, tmp_path, capsys, json_inputs, text):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(json_inputs["model"]))
+        labels = tmp_path / "labels.csv"
+        labels.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(
+                "eval", "--model", str(model), "--data", json_inputs["data"],
+                "--labels", str(labels), "--out", str(tmp_path / "out" / "m.json"),
+            )
+        assert f"{labels} contains no data" in assert_one_line_usage_error(code, capsys)
+        assert not caught, [str(w.message) for w in caught]
+
 
 @pytest.fixture(scope="module")
 def json_inputs(tmp_path_factory):
@@ -801,6 +818,8 @@ class TestJsonInputBoundary:
             ("--truth", lambda t, m: with_triplet_field(t[0], 0, 1, 99)),
             ("--truth", lambda t, m: with_triplet_field(t[0], 1, 1, 1.5)),
             ("--truth", lambda t, m: with_triplet_field(t[0], 0, 2, float("inf"))),
+            ("--truth", lambda t, m: {**t[0], "triplets": t[0]["triplets"] + [
+                [j, i, -v] for i, j, v in t[0]["triplets"] if i != j][:1]}),
             ("--model", lambda t, m: {"components": [
                 {**m["components"][0], "precision": with_triplet_field(
                     m["components"][0]["precision"], 1, 1, 1.5)},
@@ -830,7 +849,8 @@ class TestJsonInputBoundary:
             ]}),
         ],
         ids=["support-index-2.9", "support-index-1.5", "truth-n-9.7", "truth-n-string",
-             "truth-index-99", "truth-index-1.5", "truth-value-inf", "model-index-1.5",
+             "truth-index-99", "truth-index-1.5", "truth-value-inf", "truth-pair-twice",
+             "model-index-1.5",
              "model-weight-nan", "model-mean-nan", "model-value-nan", "model-numbers-as-strings",
              "model-mean-bool", "model-weight-huge-int"],
     )

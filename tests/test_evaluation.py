@@ -11,7 +11,6 @@ from gmrfmix.evaluation import (
     BiasReport,
     bias_report,
     contingency_table,
-    kkt_sign_check,
     mean_relative_eigenvalue_error,
     nmi,
     save_eigenvalue_csv,
@@ -168,11 +167,23 @@ class TestMeanRelativeEigenvalueError:
 
 
 class TestKktSignCheck:
+    """bias_report's sign-opposition fraction and max stationarity residual."""
+
     def test_diagonal_is_vacuous(self):
         q = SparseSpd(np.diag([2.0, 3.0]))
-        frac, resid = kkt_sign_check(q, np.diag([0.5, 1.0 / 3.0]), lam=0.1)
-        assert frac == 1.0
-        assert resid == 0.0
+        report = bias_report(q, np.diag([0.5, 1.0 / 3.0]), {"glasso": q}, lam=0.1)
+        assert report.gershgorin["sign_opposition_fraction"] == 1.0
+        assert report.gershgorin["max_kkt_residual"] == 0.0
+        assert report.kkt_signs == []
+
+    def test_residual_covers_nonzeros_outside_the_table(self):
+        # q_01 != 0 but |s_01| <= lam: no table row, yet its residual counts
+        q = SparseSpd(np.array([[2.0, -0.5], [-0.5, 2.0]]))
+        report = bias_report(q, np.eye(2), {"glasso": q}, lam=0.1)
+        w = np.linalg.inv(q.dense)
+        assert report.kkt_signs == []
+        assert report.gershgorin["sign_opposition_fraction"] == 1.0
+        assert report.gershgorin["max_kkt_residual"] == pytest.approx(abs(w[0, 1] + 0.1))
 
     def test_hand_built_stationary_point(self):
         s = np.array([[1.0, 0.4], [0.4, 1.2]])
@@ -181,9 +192,9 @@ class TestKktSignCheck:
         w[0, 1] = w[1, 0] = s[0, 1] - lam  # sign(q) = -1 branch
         q = np.linalg.inv(w)
         assert q[0, 1] < 0
-        frac, resid = kkt_sign_check(SparseSpd(q), s, lam)
-        assert resid < 1e-12
-        assert frac == 1.0  # s_01 > 0 and q_01 < 0: opposed
+        report = bias_report(SparseSpd(q), s, {"glasso": SparseSpd(q)}, lam)
+        assert report.gershgorin["max_kkt_residual"] < 1e-12
+        assert report.gershgorin["sign_opposition_fraction"] == 1.0  # s_01 > 0, q_01 < 0
 
     def test_solver_output_residual_within_tol(self):
         rng = np.random.default_rng(6)
@@ -192,8 +203,8 @@ class TestKktSignCheck:
         s = 0.5 * (s + s.T)
         cfg = GlassoConfig(lam=0.1)
         res = glasso_solve(s, cfg)
-        _, resid = kkt_sign_check(res.q, s, cfg.lam)
-        assert resid <= 10 * cfg.newton_tol
+        report = bias_report(res.q, s, {"glasso": res.q}, cfg.lam)
+        assert report.gershgorin["max_kkt_residual"] <= 10 * cfg.newton_tol
 
 
 class TestBiasReport:
@@ -276,9 +287,26 @@ class TestBiasReport:
             if q.dense[i, j] != 0.0 and abs(s[i, j]) > lam
         ]
         assert reference and report.kkt_signs == reference
-        frac, resid = kkt_sign_check(q, s, lam)
-        assert report.gershgorin["sign_opposition_fraction"] == frac
-        assert report.gershgorin["max_kkt_residual"] == resid
+        # the Gershgorin block, entry by entry: E = (W - S) / lam
+        gersh = report.gershgorin
+        off = [(i, j) for i in range(q.n) for j in range(q.n) if i != j]
+        nonzero = [(i, j) for i, j in off if q.dense[i, j] != 0.0]
+        eligible = [(i, j) for i, j in nonzero if abs(s[i, j]) > lam]
+        bound = [0.0] * q.n
+        radii = [0.0] * q.n
+        for i, j in off:
+            e_ij = (w[i, j] - s[i, j]) / lam
+            in_supp = q.dense[i, j] != 0.0
+            bound[i] += abs(s[i, j]) - lam if in_supp else abs(s[i, j] - lam * e_ij)
+            radii[i] += abs(w[i, j])
+        assert gersh["centers"] == [float(s[i, i]) for i in range(q.n)]
+        assert gersh["bound"] == pytest.approx(bound, rel=1e-12, abs=1e-15)
+        assert gersh["radii"] == pytest.approx(radii, rel=1e-12, abs=1e-15)
+        opposed = [np.sign(s[i, j]) == -np.sign(q.dense[i, j]) for i, j in eligible]
+        assert gersh["sign_opposition_fraction"] == sum(opposed) / len(opposed)
+        assert gersh["max_kkt_residual"] == max(
+            float(abs(w[i, j] - s[i, j] - lam * np.sign(q.dense[i, j]))) for i, j in nonzero
+        )
 
     def test_dimension_mismatch(self):
         q = SparseSpd(np.eye(2))

@@ -13,6 +13,7 @@ from gmrfmix.glasso import (
     kkt_residual,
     lasso_newton_direction,
     refit,
+    stationarity_gap,
 )
 from gmrfmix.errors import DimensionMismatch
 from gmrfmix.matrices import SparseSpd, SupportPattern, spd_inverse
@@ -57,23 +58,28 @@ class TestObjective:
         assert glasso_objective(q, np.eye(2), cfg) == pytest.approx(expected)
 
 
+def free_set_at(q, s, lam):
+    """free_set of q from its stationarity gap at penalty lam."""
+    return free_set(q, stationarity_gap(q.dense, spd_inverse(q), s, GlassoConfig(lam=lam)))
+
+
 class TestFreeSet:
     def test_identity_stationary(self):
         q = SparseSpd(np.eye(3))
-        f = free_set(q, np.eye(3), lam=0.1)
+        f = free_set_at(q, np.eye(3), lam=0.1)
         assert f == SupportPattern.diagonal(3)
 
     def test_gradient_violation_enters(self):
         q = SparseSpd(np.eye(2))
         s = np.array([[1.0, 0.6], [0.6, 1.0]])
-        f = free_set(q, s, lam=0.5)
+        f = free_set_at(q, s, lam=0.5)
         assert f.mask()[0, 1]
 
     def test_current_nonzeros_stay_free(self):
         m = np.eye(3) * 2.0
         m[0, 2] = m[2, 0] = 0.3
         q = SparseSpd(m)
-        f = free_set(q, np.eye(3), lam=100.0)
+        f = free_set_at(q, np.eye(3), lam=100.0)
         assert f.mask()[0, 2]
 
 
@@ -109,7 +115,7 @@ class TestLassoDirection:
         w = spd_inverse(q)
         g = s - w
         cfg = GlassoConfig(lam=0.2)
-        f = free_set(q, s, cfg.lam)
+        f = free_set_at(q, s, cfg.lam)
 
         def sub_obj(d):
             pen = np.abs(q.dense + d)
@@ -266,6 +272,38 @@ def test_capped_clustering_solve_certifies_the_estimate_it_returns():
     assert not res.converged and res.iterations == 10
     assert res.kkt_residual == kkt_residual(res.q.dense, spd_inverse(res.q), s, cfg)
     assert res.kkt_residual == pytest.approx(3.884, abs=1e-3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.5),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_stationarity_is_the_entrywise_conditions(n, fill, lam, penalize_diagonal, seed):
+    """kkt_residual is exactly the max of an entrywise loop over the three
+    cases (unpenalized, penalized nonzero, penalized zero), and the free set
+    is the nonzeros of Q plus the entries with |S - W| > lam."""
+    rng = np.random.default_rng(seed)
+    q = random_sparse_spd(n, rng, fill=fill)
+    s = random_cov(n, rng, n_samples=int(rng.integers(1, 3 * n + 2)))
+    w = spd_inverse(q)
+    cfg = GlassoConfig(lam=lam, penalize_diagonal=penalize_diagonal)
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i == j and not penalize_diagonal:
+                viol = abs(w[i, j] - s[i, j])
+            elif q.dense[i, j] != 0.0:
+                viol = abs(w[i, j] - s[i, j] - lam * np.sign(q.dense[i, j]))
+            else:
+                viol = max(0.0, abs(w[i, j] - s[i, j]) - lam)
+            worst = max(worst, float(viol))
+    assert kkt_residual(q.dense, w, s, cfg) == worst
+    free = free_set(q, stationarity_gap(q.dense, w, s, cfg))
+    assert np.array_equal(free.mask(), (q.dense != 0.0) | (np.abs(s - w) > lam))
 
 
 class TestKktResidual:

@@ -251,6 +251,11 @@ MALFORMED_TRIPLETS = {
     "triplet-of-two": lambda o: {**o, "triplets": [[0, 1]]},
     "triplets-flat": lambda o: {**o, "triplets": [0, 1, -1.0]},
     "triplets-nested": lambda o: {**o, "triplets": [[[0, 1, -1.0]]]},
+    # the valid object holds (0, 1, -1.0): the pair given again
+    "pair-repeated-equal": lambda o: {**o, "triplets": o["triplets"] + [[0, 1, -1.0]]},
+    "pair-repeated-unequal": lambda o: {**o, "triplets": o["triplets"] + [[0, 1, -0.5]]},
+    "pair-reversed-equal": lambda o: {**o, "triplets": o["triplets"] + [[1, 0, -1.0]]},
+    "pair-reversed-unequal": lambda o: {**o, "triplets": o["triplets"] + [[1, 0, 0.5]]},
 }
 
 
@@ -271,6 +276,11 @@ class TestTripletJson:
         assert SupportPattern.from_json({"n": 4, "triplets": [[3, 0, 7.5]]}) == SupportPattern(
             4, [(0, 3)]
         )
+
+    def test_repeated_pair_names_the_later_triplet(self):
+        obj = {"n": 2, "triplets": [[0, 0, 2.0], [1, 1, 2.0], [0, 1, 0.5], [1, 0, -0.5]]}
+        with pytest.raises(ValueError, match=r"^triplet 3 .*repeats the pair of triplet 2"):
+            SparseSpd.from_json(obj)
 
     def test_integral_float_indices_and_either_triangle(self):
         q = SparseSpd.from_json({"n": 2, "triplets": [[0, 0, 2.0], [1.0, 0.0, -1.0], [1, 1, 2]]})
