@@ -39,7 +39,6 @@ from .mixture import (
     MixtureModel,
     e_step,
     fit_em,
-    log_pdf,
     m_step,
     predict,
     weighted_stats,

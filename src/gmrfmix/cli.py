@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import DimensionMismatch, GmrfError
+from .errors import DimensionMismatch, GmrfError, NotSpd
 from .evaluation import bias_report, nmi, save_eigenvalue_csv, vi
 from .glasso import GlassoConfig, glasso_solve, refit
 from .matrices import SparseSpd, SupportPattern, load_dense_csv, load_labels, write_atomic_text
@@ -68,11 +68,14 @@ def _write_manifest(out_dir: str, command: str, config: dict, duration: float):
 
 def _read_json_input(flag: str, path: str, parse):
     """parse(obj) of the JSON in the file given as flag; a malformed file is one
-    UsageError naming the flag and the path. NotSpd is not a malformed file."""
+    UsageError naming the flag and the path. A well-formed precision that is not
+    SPD stays NotSpd, a numerical failure, and is named the same way."""
     with open(path) as fh:
         obj = json.load(fh)
     try:
         return parse(obj)
+    except NotSpd as exc:
+        raise NotSpd(f"{flag} {path}: {exc}") from exc
     except KeyError as exc:
         raise UsageError(f"{flag} {path}: missing key {exc}") from exc
     except (LookupError, TypeError, ValueError, DimensionMismatch) as exc:
@@ -442,6 +445,8 @@ def main(argv=None) -> int:
         argv = _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
         commands[args.command].check_required(args)
+        if getattr(args, "seed", 0) < 0:  # numpy's own message would not name the flag
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         out_dir = os.path.abspath(vars(args).get("out_dir") or os.path.dirname(args.out))
         made = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)

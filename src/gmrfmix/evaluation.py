@@ -107,11 +107,10 @@ def bias_report(
     s: np.ndarray,
     estimates: dict,
     lam: float,
-    glasso_name: str = "glasso",
 ) -> BiasReport:
     """Spectral comparison of estimates against the true precision.
 
-    For the estimate named glasso_name, additionally records per-row
+    For the estimate named "glasso", additionally records per-row
     Gershgorin data of its inverse (centers S_ii, disc radii, and the bound
     built from the stationarity error matrix E = (W - S) / lambda) and the
     per-entry sign table over its off-diagonal nonzeros with |S_ij| > lambda,
@@ -129,8 +128,8 @@ def bias_report(
         report.eigenvalues[name] = eigs.tolist()
         report.mean_rel_error[name] = mean_relative_eigenvalue_error(true_eigs, eigs)
 
-    if glasso_name in estimates and lam > 0:
-        q = estimates[glasso_name]
+    if "glasso" in estimates and lam > 0:
+        q = estimates["glasso"]
         w = spd_inverse(q)
         off = ~np.eye(q.n, dtype=bool)
         in_supp = (q.dense != 0.0) & off

@@ -24,6 +24,11 @@ test, the `kkt_residual`, the free set and `bias_report` all read it.
 
 Debiasing keeps only the support of the lasso estimate and re-solves the
 support-constrained MLE, warm-started at the lasso iterate (`refit`).
+
+`GlassoConfig` holds the settings callers vary: lam, penalize_diagonal,
+newton_tol and max_newton_iters. The coordinate descent's sweep cap and
+tolerance (LASSO_INNER_ITERS, SUB_TOL), PRUNE_EPS and HESSIAN_ELEMS are
+module constants, read at each call.
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ PRUNE_EPS = 1e-8
 # 46 ms at |F| = 736, 61 against 71 ms at |F| = 1024 and 74 against 52 ms at
 # |F| = 1448; at |F| = 8749 (n = 1024) the matrix alone would be 612 MB.
 HESSIAN_ELEMS = 1 << 20
+# each Newton direction runs at most LASSO_INNER_ITERS coordinate-descent sweeps,
+# and stops after a sweep whose largest coordinate change is at most SUB_TOL
+LASSO_INNER_ITERS = 20
+SUB_TOL = 1e-6
 
 
 @dataclass
@@ -61,15 +70,13 @@ class GlassoConfig:
     penalize_diagonal: bool = False
     newton_tol: float = 1e-5
     max_newton_iters: int = 100
-    lasso_inner_iters: int = 20
-    sub_tol: float = 1e-6
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:  # also rejects NaN
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
-        if not (self.newton_tol > 0 and self.sub_tol > 0):  # also rejects NaN
+        if not self.newton_tol > 0:  # also rejects NaN
             raise ValueError("tolerances must be positive")
-        if min(self.max_newton_iters, self.lasso_inner_iters) < 1:
+        if self.max_newton_iters < 1:
             raise ValueError("iteration counts must be >= 1")
 
 
@@ -149,8 +156,8 @@ def lasso_newton_direction(
     supported on the free set (G = S - W, W = Q^{-1}) and returns the pair
     values of D, in the free set's `index_arrays` order, and the number of
     sweeps run. Each coordinate gets an exact soft-threshold update; sweeps
-    stop after lasso_inner_iters or when the largest coordinate change falls
-    below sub_tol. Coordinate k reads b_k = g_k + (W D W)_k from the explicit
+    stop after LASSO_INNER_ITERS or when the largest coordinate change falls
+    below SUB_TOL. Coordinate k reads b_k = g_k + (W D W)_k from the explicit
     Newton matrix when |F|^2 <= HESSIAN_ELEMS, and from U = D W above it.
     """
     w = spd_inverse(q)
@@ -168,16 +175,16 @@ def lasso_newton_direction(
         )
     )
     if len(coords) ** 2 <= HESSIAN_ELEMS:
-        return _explicit_sweeps(hessian_matrix(w, free), coords, cfg)
-    return _product_sweeps(w, rows.tolist(), cols.tolist(), coords, cfg)
+        return _explicit_sweeps(hessian_matrix(w, free), coords)
+    return _product_sweeps(w, rows.tolist(), cols.tolist(), coords)
 
 
-def _explicit_sweeps(h: np.ndarray, coords: list, cfg: GlassoConfig) -> tuple[np.ndarray, int]:
+def _explicit_sweeps(h: np.ndarray, coords: list) -> tuple[np.ndarray, int]:
     """Coordinate descent reading b_k = g_k + H[k] . x from the Newton matrix H."""
     x = np.zeros(len(coords))  # the entries of delta on the free set
     steps = x.tolist()  # the same, as Python floats
     h_rows = list(h)
-    for sweeps in range(1, cfg.lasso_inner_iters + 1):
+    for sweeps in range(1, LASSO_INNER_ITERS + 1):
         max_change = 0.0
         for k, (g_k, a_k, t_k, q_k) in enumerate(coords):
             mu = _lasso_step(g_k + float(h_rows[k].dot(x)), a_k, q_k + steps[k], t_k)
@@ -185,21 +192,19 @@ def _explicit_sweeps(h: np.ndarray, coords: list, cfg: GlassoConfig) -> tuple[np
                 steps[k] += mu
                 x[k] = steps[k]
             max_change = max(max_change, abs(mu))
-        if max_change <= cfg.sub_tol:
+        if max_change <= SUB_TOL:
             break
     return x, sweeps
 
 
-def _product_sweeps(
-    w: np.ndarray, rows: list, cols: list, coords: list, cfg: GlassoConfig
-) -> tuple[np.ndarray, int]:
+def _product_sweeps(w: np.ndarray, rows: list, cols: list, coords: list) -> tuple[np.ndarray, int]:
     """Coordinate descent reading b_k = g_k + (W U)_k, with U = delta W kept
     in sync by rank-one row updates: n-length work per coordinate, no |F|^2 storage."""
     w_rows = list(w)  # rows of W (and, W being symmetric, its columns)
     u = np.zeros_like(w)
     u_rows, u_cols = list(u), list(u.T)
     steps = [0.0] * len(coords)
-    for sweeps in range(1, cfg.lasso_inner_iters + 1):
+    for sweeps in range(1, LASSO_INNER_ITERS + 1):
         max_change = 0.0
         for k, (i, j, (g_k, a_k, t_k, q_k)) in enumerate(zip(rows, cols, coords)):
             mu = _lasso_step(g_k + float(w_rows[i].dot(u_cols[j])), a_k, q_k + steps[k], t_k)
@@ -209,7 +214,7 @@ def _product_sweeps(
                 if i != j:
                     u_rows[j] += mu * w_rows[i]
             max_change = max(max_change, abs(mu))
-        if max_change <= cfg.sub_tol:
+        if max_change <= SUB_TOL:
             break
     return np.array(steps), sweeps
 

@@ -314,10 +314,16 @@ def save_dense_csv(m: np.ndarray, path: str) -> None:
 
 
 def _load_text(path: str, **kwargs) -> np.ndarray:
-    """np.loadtxt without its empty-file warning; ValueError names the file on no data."""
+    """np.loadtxt without its empty-file warning; ValueError names the file on
+    no data or on text that does not parse."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        m = np.loadtxt(path, **kwargs)
+        try:
+            m = np.loadtxt(path, **kwargs)
+        except ValueError as exc:
+            # without numpy's hint at `usecols`, a loadtxt option the CLI does not have
+            reason = str(exc).split("; use `usecols`")[0]
+            raise ValueError(f"{path}: {reason}") from None
     if m.size == 0:
         raise ValueError(f"{path} contains no data")
     return m

@@ -4,6 +4,11 @@ The M-step precision estimator is pluggable: closed-form dense MLE,
 graphical lasso, the debiased two-step estimator, or the known-support
 Newton solver. Iterative estimators are warm-started from the previous EM
 iteration's component precision.
+
+`EmConfig` holds the settings callers vary: the estimator, K, the EM
+iteration cap and whether the means are fixed at zero. The EM stop
+tolerance LL_TOL and the empty-component floor MIN_COMPONENT_WEIGHT are
+module constants, read at each call.
 """
 
 from __future__ import annotations
@@ -19,6 +24,12 @@ from .matrices import SparseSpd, SupportPattern, write_atomic_text
 from .mle import MleConfig, dense_mle, estimate_known_support
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# fit_em stops once an iteration changes the total log-likelihood by at most
+# LL_TOL times its magnitude
+LL_TOL = 1e-6
+# a component whose responsibilities sum to at most this share of the points is
+# empty: the M-step raises EmptyComponent, and fit_em reseeds it
+MIN_COMPONENT_WEIGHT = 1e-6
 
 
 @dataclass
@@ -143,21 +154,14 @@ class KnownSupportEstimator:
 class EmConfig:
     estimator: object = field(default_factory=BaselineEstimator)
     k: int = 1
-    init: str = "random_responsibilities"  # or "kmeans_plus_plus"
-    ll_tol: float = 1e-6
     max_em_iters: int = 500
-    min_component_weight: float = 1e-6
     fix_means_to_zero: bool = False
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("K must be >= 1")
-        if self.ll_tol <= 0:
-            raise ValueError("ll_tol must be positive")
         if self.max_em_iters < 1:
             raise ValueError("max_em_iters must be >= 1")
-        if self.init not in ("random_responsibilities", "kmeans_plus_plus"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +175,7 @@ def _log_density(c: GmrfComponent, x: np.ndarray):
     return 0.5 * q.log_det - 0.5 * q.n * LOG_2PI - 0.5 * q.quad_form(x - c.mean)
 
 
-def log_pdf(c: GmrfComponent, x: np.ndarray) -> float:
-    """Gaussian log-density of one point via the precision."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (c.precision.n,):
-        raise DimensionMismatch("point dimension differs from component")
-    return _log_density(c, x)
-
-
-def _weighted_log_pdfs(model: MixtureModel, data: np.ndarray) -> np.ndarray:
+def _weighted_log_densities(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     """(N, K) matrix of log w_k + log p_k(x_i), vectorized over points."""
     out = np.empty((data.shape[0], model.k))
     for k, c in enumerate(model.components):
@@ -192,7 +188,7 @@ def e_step(model: MixtureModel, data: np.ndarray):
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != model.n:
         raise DimensionMismatch("data dimension differs from model")
-    log_w = _weighted_log_pdfs(model, data)
+    log_w = _weighted_log_densities(model, data)
     row_max = np.max(log_w, axis=1, keepdims=True)
     shifted = np.exp(log_w - row_max)
     row_sum = np.sum(shifted, axis=1, keepdims=True)
@@ -234,9 +230,7 @@ def m_step(
     n_points = data.shape[0]
     comps = []
     for k in range(cfg.k):
-        mean, s, wsum = weighted_stats(
-            data, w, k, cfg.fix_means_to_zero, cfg.min_component_weight
-        )
+        mean, s, wsum = weighted_stats(data, w, k, cfg.fix_means_to_zero, MIN_COMPONENT_WEIGHT)
         warm = prev.components[k].precision if prev is not None else None
         q = cfg.estimator.fit(s, warm, k)
         comps.append(GmrfComponent(weight=wsum / n_points, mean=mean, precision=q))
@@ -244,29 +238,6 @@ def m_step(
     for c in comps:
         c.weight /= total
     return MixtureModel(comps)
-
-
-def _init_responsibilities(data: np.ndarray, cfg: EmConfig, rng: np.random.Generator):
-    n_points = data.shape[0]
-    if cfg.init == "random_responsibilities":
-        return rng.dirichlet(np.ones(cfg.k), size=n_points)
-    centers = _kmeans_pp_centers(data, cfg.k, rng)  # kmeans_plus_plus
-    d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    resp = np.full((n_points, cfg.k), 1e-6)
-    resp[np.arange(n_points), labels] = 1.0
-    return resp / resp.sum(axis=1, keepdims=True)
-
-
-def _kmeans_pp_centers(data: np.ndarray, k: int, rng: np.random.Generator):
-    centers = [data[rng.integers(data.shape[0])]]
-    for _ in range(1, k):
-        d2 = np.min(
-            [((data - c) ** 2).sum(axis=1) for c in centers], axis=0
-        )
-        probs = d2 / max(d2.sum(), np.finfo(float).tiny)
-        centers.append(data[rng.choice(data.shape[0], p=probs)])
-    return np.asarray(centers)
 
 
 def _reseed_component(
@@ -290,23 +261,23 @@ def fit_em(data: np.ndarray, cfg: EmConfig, seed: int = 0, init_resp=None):
     mass collapses are reseeded from the lowest-likelihood points rather
     than failing the run; if the reseeded M-step still finds an empty
     component, EmptyComponent names the reseeded components and the EM
-    iteration (counted from 1). init_resp overrides the seeded
-    initialization with an explicit (N, K) responsibility matrix.
+    iteration (counted from 1). The initial responsibilities are a
+    Dirichlet(1, ..., 1) draw per point from the seeded generator, unless
+    init_resp gives an explicit (N, K) matrix.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DimensionMismatch("data must be a 2-d array")
     if data.shape[0] < cfg.k:
         raise DimensionMismatch("need at least K data points")
-    rng = np.random.default_rng(seed)
     if init_resp is not None:
         w = np.asarray(init_resp, dtype=np.float64)
         if w.shape != (data.shape[0], cfg.k):
             raise DimensionMismatch("init_resp shape differs from (N, K)")
     else:
-        w = _init_responsibilities(data, cfg, rng)
+        w = np.random.default_rng(seed).dirichlet(np.ones(cfg.k), size=data.shape[0])
     col = w.sum(axis=0)
-    if np.any(col < cfg.min_component_weight * data.shape[0]):
+    if np.any(col < MIN_COMPONENT_WEIGHT * data.shape[0]):
         raise DegenerateInit("initialization produced an empty component")
 
     model = None
@@ -318,9 +289,9 @@ def fit_em(data: np.ndarray, cfg: EmConfig, seed: int = 0, init_resp=None):
         except EmptyComponent:
             if model is None:
                 raise DegenerateInit("initialization produced an empty component")
-            point_ll = np.logaddexp.reduce(_weighted_log_pdfs(model, data), axis=1)
+            point_ll = np.logaddexp.reduce(_weighted_log_densities(model, data), axis=1)
             col = w.sum(axis=0)
-            starved = np.nonzero(col <= cfg.min_component_weight * data.shape[0])[0]
+            starved = np.nonzero(col <= MIN_COMPONENT_WEIGHT * data.shape[0])[0]
             for k in starved:
                 w = _reseed_component(w, int(k), point_ll, model.n)
             try:
@@ -332,7 +303,7 @@ def fit_em(data: np.ndarray, cfg: EmConfig, seed: int = 0, init_resp=None):
                 ) from exc
         w, ll = e_step(model, data)
         ll_trace.append(ll)
-        if prev_ll is not None and abs(ll - prev_ll) <= cfg.ll_tol * abs(ll):
+        if prev_ll is not None and abs(ll - prev_ll) <= LL_TOL * abs(ll):
             break
         prev_ll = ll
     return model, ll_trace, w

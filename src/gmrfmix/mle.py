@@ -9,6 +9,11 @@ by diagonally preconditioned conjugate gradient (`proj_pcg`). An Armijo
 backtracking line search, which also guards positive-definiteness via
 Cholesky, follows. The graphical lasso (`glasso.glasso_solve`) takes its
 steps with the same search (`armijo_spd_search`) on its penalized objective.
+
+`MleConfig` holds the one setting callers vary, the stop tolerance
+outer_tol. The others are module constants, read at each call: the Newton
+cap MAX_OUTER_ITERS, the PCG tolerance and cap PCG_TOL and MAX_PCG_ITERS,
+and the line search's ARMIJO_C, BACKTRACK_FACTOR and MAX_BACKTRACKS.
 """
 
 from __future__ import annotations
@@ -33,20 +38,20 @@ SPARSE_FILL = 0.03
 # elements of W gathered per block by the sparse operator: 512 KB of float64
 # (1 MB blocks made an apply 3x slower at n = 256)
 GATHER_ELEMS = 1 << 16
+# estimate_known_support takes at most MAX_OUTER_ITERS Newton steps; proj_pcg
+# stops at a residual of PCG_TOL times the gradient's, or after MAX_PCG_ITERS
+MAX_OUTER_ITERS = 200
+PCG_TOL = 1e-2
+MAX_PCG_ITERS = 200
 
 
 @dataclass
 class MleConfig:
     outer_tol: float = 1e-6
-    max_outer_iters: int = 200
-    pcg_tol: float = 1e-2
-    max_pcg_iters: int = 200
 
     def __post_init__(self):
-        if not (self.outer_tol > 0 and self.pcg_tol > 0):  # also rejects NaN
+        if not self.outer_tol > 0:  # also rejects NaN
             raise ValueError("tolerances must be positive")
-        if min(self.max_outer_iters, self.max_pcg_iters) < 1:
-            raise ValueError("iteration counts must be >= 1")
 
 
 @dataclass
@@ -56,7 +61,8 @@ class MleResult:
     converged: bool = False
     iterations: int = 0
     grad_max: float = np.inf  # max-abs gradient over the pattern pairs at q, the certificate
-    pcg_truncated: int = 0  # Newton steps whose PCG stopped before pcg_tol
+    pcg_truncated: int = 0  # Newton steps whose PCG stopped before PCG_TOL
+    pcg_iters: int = 0  # PCG operator applies over all Newton steps
 
 
 def neg_log_likelihood(q: SparseSpd, s: np.ndarray) -> float:
@@ -198,12 +204,14 @@ def precond_weights(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
     return d[rows] * d[cols] + np.where(rows == cols, 0.0, w[rows, cols] ** 2)
 
 
-def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern, cfg: MleConfig):
-    """Solve hessian_apply(W, pattern)(x) = -g by PCG (W = Q^{-1}); returns (x, converged).
+def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern):
+    """Solve hessian_apply(W, pattern)(x) = -g by PCG (W = Q^{-1}).
 
-    g and x are pair-value vectors (`index_arrays` order). Inner products
-    weight the pairs by `pair_weights`, so they are the Frobenius products
-    of the symmetric matrices: the stop test is ||r||_F <= pcg_tol ||g||_F.
+    Returns (x, converged, iterations), the last the number of operator
+    applies. g and x are pair-value vectors (`index_arrays` order). Inner
+    products weight the pairs by `pair_weights`, so they are the Frobenius
+    products of the symmetric matrices: the stop test is ||r||_F <=
+    PCG_TOL ||g||_F, tried after each of at most MAX_PCG_ITERS applies.
     The preconditioner divides residuals by precond_weights. Even a
     truncated solution is a descent direction because the operator is SPD
     on the pattern subspace.
@@ -213,14 +221,14 @@ def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern, cfg: MleConfi
     x = np.zeros_like(r)
     g_norm = np.sqrt(np.dot(weight * r, r))
     if g_norm == 0.0:
-        return x, True
+        return x, True, 0
     w = spd_inverse(q)
     apply = hessian_apply(w, pattern)
     m = precond_weights(w, pattern)
     z = r / m
     p = z.copy()
     rz = np.dot(weight * r, z)
-    for _ in range(cfg.max_pcg_iters):
+    for it in range(1, MAX_PCG_ITERS + 1):
         ap = apply(p)
         p_ap = np.dot(weight * p, ap)
         if p_ap <= 0.0:
@@ -228,13 +236,13 @@ def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern, cfg: MleConfi
         alpha = rz / p_ap
         x += alpha * p
         r -= alpha * ap
-        if np.sqrt(np.dot(weight * r, r)) <= cfg.pcg_tol * g_norm:
-            return x, True
+        if np.sqrt(np.dot(weight * r, r)) <= PCG_TOL * g_norm:
+            return x, True, it
         z = r / m
         rz_new = np.dot(weight * r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, False
+    return x, False, it
 
 
 def armijo_spd_search(
@@ -291,7 +299,7 @@ def estimate_known_support(
 
     Only the pattern pairs are free variables. Stops when the max-abs of
     the gradient S - Q^{-1} over the pairs drops below cfg.outer_tol or
-    after cfg.max_outer_iters Newton steps; either way the result's
+    after MAX_OUTER_ITERS Newton steps; either way the result's
     grad_max is that of the returned q.
     """
     s = check_symmetric(s)
@@ -309,14 +317,15 @@ def estimate_known_support(
     s_pairs = s[rows, cols]
     weight = pair_weights(pattern)
     trace = [neg_log_likelihood(q, s)]
-    truncated = 0
-    for iters in range(cfg.max_outer_iters + 1):
+    truncated = pcg_iters = 0
+    for iters in range(MAX_OUTER_ITERS + 1):
         g = s_pairs - spd_inverse(q)[rows, cols]
         grad_max = float(np.max(np.abs(g)))
-        if grad_max <= cfg.outer_tol or iters == cfg.max_outer_iters:
+        if grad_max <= cfg.outer_tol or iters == MAX_OUTER_ITERS:
             break
-        delta, pcg_converged = proj_pcg(q, g, pattern, cfg)
+        delta, pcg_converged, applies = proj_pcg(q, g, pattern)
         truncated += not pcg_converged
+        pcg_iters += applies
         _, q, f_new = armijo_spd_search(
             q, delta, pattern, float(np.dot(weight * g, delta)), trace[-1],
             lambda cand: neg_log_likelihood(cand, s),
@@ -324,5 +333,5 @@ def estimate_known_support(
         trace.append(f_new)
     return MleResult(
         q=q, objective_trace=trace, converged=grad_max <= cfg.outer_tol, iterations=iters,
-        grad_max=grad_max, pcg_truncated=truncated,
+        grad_max=grad_max, pcg_truncated=truncated, pcg_iters=pcg_iters,
     )

@@ -735,6 +735,67 @@ class TestNonFiniteAndMalformedInput:
         assert f"{labels} contains no data" in assert_one_line_usage_error(code, capsys)
         assert not caught, [str(w.message) for w in caught]
 
+    @pytest.mark.parametrize(
+        "flag, text, reason",
+        [
+            ("--data", "abc,1\n", "could not convert string 'abc' to float64"),
+            ("--data", "1,2\n3\n", "the number of columns changed from 2 to 1 at row 2"),
+            ("--labels", "0\n1.5\n", "could not convert string '1.5' to int64"),
+            ("--labels", "0\n1,1\n", "could not convert string '1,1' to int64"),
+        ],
+        ids=["data-cell-abc", "data-ragged-row", "labels-fraction", "labels-two-fields"],
+    )
+    def test_text_that_does_not_parse_is_named(
+        self, tmp_path, capsys, json_inputs, flag, text, reason
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(json_inputs["model"]))
+        inputs = {"--data": json_inputs["data"], "--labels": json_inputs["labels"], flag: str(bad)}
+        code = run(
+            "eval", "--model", str(model), "--data", inputs["--data"],
+            "--labels", inputs["--labels"], "--out", str(tmp_path / "out" / "m.json"),
+        )
+        line = assert_one_line_usage_error(code, capsys)
+        assert line.startswith(f"usage error: {bad}: {reason}"), line
+        assert "usecols" not in line
+        assert not (tmp_path / "out").exists()
+
+
+class TestNegativeSeed:
+    """A seed below 0 is one usage error naming --seed, before any output directory is made."""
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "lambda-sweep"])
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, json_inputs, command):
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--kind", "laplacian2d", "--samples", "5",
+                         "--out-dir", str(out)],
+            "fit": ["fit", "--data", json_inputs["data"], "--k", "2", "--estimator", "baseline",
+                    "--out", str(out / "model.json")],
+            "lambda-sweep": ["lambda-sweep", "--data", json_inputs["data"], "--lambda-grid", "0.1",
+                             "--out", str(out / "sweep.csv")],
+        }[command]
+        code = run(*argv, "--seed", "-1")
+        assert assert_one_line_usage_error(code, capsys) == (
+            "usage error: --seed must be >= 0, got -1\n"
+        )
+        assert not out.exists()
+
+    def test_negative_config_file_seed_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -3}))
+        out = tmp_path / "out"
+        code = run(
+            "--config", str(cfg_path),
+            "generate", "--kind", "laplacian2d", "--samples", "5", "--out-dir", str(out),
+        )
+        assert assert_one_line_usage_error(code, capsys) == (
+            "usage error: --seed must be >= 0, got -3\n"
+        )
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def json_inputs(tmp_path_factory):
@@ -885,11 +946,22 @@ class TestJsonInputBoundary:
     def test_well_formed_truth_that_is_not_spd_exits_numeric(self, json_inputs):
         truth = json_inputs["truth"][0]
         diagonal = next(k for k, (i, j, _) in enumerate(truth["triplets"]) if i == j)
-        code, lines, _, out_exists = run_on_json_input(
+        code, lines, path, out_exists = run_on_json_input(
             json_inputs, "--truth", with_triplet_field(truth, diagonal, 2, -1.0)
         )
         assert code == EXIT_NUMERIC and len(lines) == 1, lines
-        assert lines[0] == "numerical failure: Matrix is not positive definite"
+        assert lines[0] == f"numerical failure: --truth {path}: Matrix is not positive definite"
+        assert not out_exists
+
+    def test_well_formed_model_that_is_not_spd_exits_numeric(self, json_inputs):
+        m = json_inputs["model"]
+        precision = m["components"][1]["precision"]
+        diagonal = next(k for k, (i, j, _) in enumerate(precision["triplets"]) if i == j)
+        bad = with_triplet_field(precision, diagonal, 2, -1.0)
+        model = {"components": [m["components"][0], {**m["components"][1], "precision": bad}]}
+        code, lines, path, out_exists = run_on_json_input(json_inputs, "--model", model)
+        assert code == EXIT_NUMERIC and len(lines) == 1, lines
+        assert lines[0] == f"numerical failure: --model {path}: Matrix is not positive definite"
         assert not out_exists
 
     @settings(max_examples=60, deadline=None)
@@ -1030,7 +1102,7 @@ class TestCliFuzz:
             st.sampled_from(["nan", "inf", "-inf"]),
             st.floats(-0.5, 1.5).map(lambda x: f"{x:.3f}"),
         ),
-        seed=st.integers(0, 3),
+        seed=st.integers(-2, 3),
         estimators=st.lists(st.sampled_from([*ESTIMATORS, "wat"]), min_size=1, max_size=3),
     )
     def test_exit_codes_and_messages(

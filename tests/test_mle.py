@@ -224,7 +224,7 @@ class TestProjPcg:
         rows, cols = SupportPattern.full(4).index_arrays()
         g = rng.standard_normal((4, 4))
         g = (0.5 * (g + g.T))[rows, cols]
-        delta, ok = proj_pcg(q, g, SupportPattern.full(4), MleConfig())
+        delta, ok, _ = proj_pcg(q, g, SupportPattern.full(4))
         assert ok and np.allclose(delta, -g, atol=1e-8)
 
     def test_scaled_identity(self):
@@ -233,13 +233,15 @@ class TestProjPcg:
         rows, cols = SupportPattern.full(3).index_arrays()
         g = rng.standard_normal((3, 3))
         g = (0.5 * (g + g.T))[rows, cols]
-        delta, ok = proj_pcg(q, g, SupportPattern.full(3), MleConfig(pcg_tol=1e-10))
+        with mock.patch.object(mle, "PCG_TOL", 1e-10):
+            delta, ok, _ = proj_pcg(q, g, SupportPattern.full(3))
         assert ok and np.allclose(delta, -4.0 * g, atol=1e-6)
 
     def test_diagonal_pattern(self):
         q = SparseSpd(np.diag([1.0, 4.0]))
         g = np.array([0.0, 0.75])
-        delta, ok = proj_pcg(q, g, SupportPattern.diagonal(2), MleConfig(pcg_tol=1e-12))
+        with mock.patch.object(mle, "PCG_TOL", 1e-12):
+            delta, ok, _ = proj_pcg(q, g, SupportPattern.diagonal(2))
         assert ok and np.allclose(delta, [0.0, -12.0])
 
     def test_residual_tolerance(self):
@@ -249,12 +251,12 @@ class TestProjPcg:
         rows, cols = pattern.index_arrays()
         a = rng.standard_normal((8, 8))
         g = (0.5 * (a + a.T) + np.eye(8))[rows, cols]
-        cfg = MleConfig(pcg_tol=1e-3)
         w = spd_inverse(q)
-        delta, ok = proj_pcg(q, g, pattern, cfg)
+        with mock.patch.object(mle, "PCG_TOL", 1e-3):
+            delta, ok, _ = proj_pcg(q, g, pattern)
         assert ok
         resid = hessian_apply(w, pattern)(delta) + g
-        assert frobenius(resid, pattern) <= cfg.pcg_tol * frobenius(g, pattern)
+        assert frobenius(resid, pattern) <= 1e-3 * frobenius(g, pattern)
 
 
 @pytest.mark.parametrize("sparse_fill", [0.0, 1.0], ids=["dense-products", "sparse-products"])
@@ -298,15 +300,16 @@ class TestNewtonOperatorProperties:
     def test_pcg_direction_meets_its_tolerance(self, sparse_fill, n, fill, seed, tol, iters):
         pattern, q, g = self.draw(n, fill, seed)
         rows, cols = pattern.index_arrays()
-        cfg = MleConfig(pcg_tol=tol, max_pcg_iters=iters)
         with mock.patch.object(mle, "SPARSE_FILL", sparse_fill), \
-                mock.patch.object(mle, "GATHER_ELEMS", 8):
-            delta, ok = proj_pcg(q, g[rows, cols], pattern, cfg)
+                mock.patch.object(mle, "GATHER_ELEMS", 8), \
+                mock.patch.object(mle, "PCG_TOL", tol), \
+                mock.patch.object(mle, "MAX_PCG_ITERS", iters):
+            delta, ok, _ = proj_pcg(q, g[rows, cols], pattern)
         assert delta.shape == rows.shape
         if ok:
             w = spd_inverse(q)
             resid = np.where(pattern.mask(), w @ _to_dense(delta, pattern) @ w, 0.0) + g
-            assert np.linalg.norm(resid) <= cfg.pcg_tol * np.linalg.norm(g)
+            assert np.linalg.norm(resid) <= tol * np.linalg.norm(g)
 
 
 @pytest.mark.parametrize("sparse_fill", [0.0, 1.0], ids=["dense-products", "sparse-products"])
@@ -485,7 +488,8 @@ class TestEstimateKnownSupport:
         q_true = random_sparse_spd(8, rng)
         a = rng.standard_normal((40, 8))
         s = a.T @ a / 40
-        res = estimate_known_support(s, q_true.pattern, cfg=MleConfig(max_outer_iters=cap))
+        with mock.patch.object(mle, "MAX_OUTER_ITERS", cap):
+            res = estimate_known_support(s, q_true.pattern)
         rows, cols = q_true.pattern.index_arrays()
         g = (s - spd_inverse(res.q))[rows, cols]
         assert res.grad_max == np.max(np.abs(g))
@@ -518,7 +522,7 @@ def lattice_problem():
     return q_true, 0.5 * (s + s.T)
 
 
-@pytest.mark.parametrize("field", ["outer_tol", "pcg_tol"])
+@pytest.mark.parametrize("field", ["outer_tol"])
 @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan], ids=["zero", "negative", "nan"])
 def test_config_rejects_tolerance_that_is_not_positive(field, tol):
     with pytest.raises(ValueError, match="tolerances must be positive"):
@@ -535,7 +539,8 @@ def test_pcg_truncated_counts_newton_steps_with_truncated_pcg(monkeypatch):
         return out
 
     monkeypatch.setattr(mle, "proj_pcg", recording)
-    res = estimate_known_support(s, q_true.pattern, cfg=MleConfig(max_pcg_iters=1, max_outer_iters=20))
+    with mock.patch.object(mle, "MAX_PCG_ITERS", 1), mock.patch.object(mle, "MAX_OUTER_ITERS", 20):
+        res = estimate_known_support(s, q_true.pattern)
     assert len(flags) == res.iterations
     assert res.pcg_truncated == flags.count(False) > 0
     flags.clear()
@@ -543,10 +548,35 @@ def test_pcg_truncated_counts_newton_steps_with_truncated_pcg(monkeypatch):
     assert res.converged and res.pcg_truncated == flags.count(False) == 0
 
 
+def test_pcg_iters_counts_the_operator_applies(monkeypatch):
+    """MleResult.pcg_iters totals the Newton operator applies of every PCG
+    solve, and a solve started at its own solution (g = 0) runs none."""
+    q_true, s = lattice_problem()
+    applies = []
+
+    def counting(w, pattern):
+        apply = hessian_apply(w, pattern)
+
+        def counted(x):
+            applies.append(1)
+            return apply(x)
+
+        return counted
+
+    monkeypatch.setattr(mle, "hessian_apply", counting)
+    res = estimate_known_support(s, q_true.pattern)
+    assert res.converged and res.pcg_iters == len(applies) > res.iterations
+    rows, cols = q_true.pattern.index_arrays()
+    assert proj_pcg(q_true, np.zeros(len(rows)), q_true.pattern)[2] == 0
+    applies.clear()
+    again = estimate_known_support(s, q_true.pattern, q0=res.q)
+    assert again.iterations == again.pcg_iters == len(applies) == 0
+
+
 def test_lattice_solves_match_tight_pcg_within_outer_tol():
     """Known-support and refit (lambda 0.25 support) on one 16x16 lattice sample.
 
-    Both solves and their pcg_tol=1e-8 counterparts stop with every pattern
+    Both solves and their PCG_TOL=1e-8 counterparts stop with every pattern
     entry of the gradient S - Q^{-1} within outer_tol. The objective's
     Hessian on the pattern subspace is Q^{-1} (x) Q^{-1}, whose smallest
     eigenvalue is at least 1/L^2 on the segment between the two solutions,
@@ -555,12 +585,12 @@ def test_lattice_solves_match_tight_pcg_within_outer_tol():
     """
     q_true, s = lattice_problem()
     lasso = glasso.glasso_solve(s, glasso.GlassoConfig(lam=0.25)).q
-    tight = MleConfig(pcg_tol=1e-8)
     for pattern, q0 in ((q_true.pattern, None), (lasso.pattern, lasso)):
         a = estimate_known_support(s, pattern, q0=q0)
-        b = estimate_known_support(s, pattern, q0=q0, cfg=tight)
-        for res, cfg in ((a, MleConfig()), (b, tight)):
-            assert res.converged and res.grad_max <= cfg.outer_tol
+        with mock.patch.object(mle, "PCG_TOL", 1e-8):
+            b = estimate_known_support(s, pattern, q0=q0)
+        for res in (a, b):
+            assert res.converged and res.grad_max <= MleConfig().outer_tol
         top = max(np.linalg.eigvalsh(a.q.dense)[-1], np.linalg.eigvalsh(b.q.dense)[-1])
         nnz = np.count_nonzero(pattern.mask())
         bound = 2.0 * top**2 * MleConfig().outer_tol * np.sqrt(nnz)
