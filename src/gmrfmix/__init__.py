@@ -1,54 +1,10 @@
-"""Sparse-precision Gaussian and GMRF mixture estimation toolkit."""
+"""Sparse-precision Gaussian and GMRF mixture estimation toolkit.
+
+The top level exports the graphical lasso and its debiased refit
+(`GlassoConfig`, `glasso_solve`, `refit`, `debias`); every other name is
+imported from its module (`gmrfmix.mle`, `gmrfmix.mixture`, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateInit,
-    DimensionMismatch,
-    EmptyComponent,
-    EmptyInput,
-    GmrfError,
-    LengthMismatch,
-    LineSearchFailed,
-    NotSpd,
-    SingularCovariance,
-)
-from .matrices import (
-    SparseSpd,
-    SupportPattern,
-    cholesky,
-    eigenvalues_sym,
-    spd_inverse,
-)
-from .mle import (
-    MleConfig,
-    MleResult,
-    dense_mle,
-    estimate_known_support,
-    gradient,
-    neg_log_likelihood,
-)
-from .glasso import GlassoConfig, GlassoResult, debias, glasso_solve, refit
-from .mixture import (
-    BaselineEstimator,
-    DebiasedEstimator,
-    EmConfig,
-    GlassoEstimator,
-    GmrfComponent,
-    KnownSupportEstimator,
-    MixtureModel,
-    e_step,
-    fit_em,
-    m_step,
-    predict,
-    weighted_stats,
-)
-from .synthetic import (
-    DiffusionSpec,
-    LatticeSpec,
-    diffusion_precision,
-    laplacian2d_precision,
-    make_clustering_dataset,
-    sample_gmrf,
-)
-from .evaluation import BiasReport, bias_report, nmi, vi
+from .glasso import GlassoConfig, debias, glasso_solve, refit

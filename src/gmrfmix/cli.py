@@ -258,11 +258,13 @@ def _load_truth(path: str) -> SparseSpd:
 
 
 def cmd_bias_report(args) -> None:
+    names = [e.strip() for e in args.estimators.split(",") if e.strip()]
+    if not names:
+        raise UsageError("--estimators names no estimator")
     q_true = _load_truth(args.truth)
     data = load_dense_csv(args.data)
     _check_columns("--truth", args.truth, q_true.n, data.shape[1])
     s = _empirical_cov(data)
-    names = [e.strip() for e in args.estimators.split(",") if e.strip()]
     estimates = _cold_fits(names, s, args.lam, lambda: [q_true.pattern])
     report = bias_report(q_true, s, estimates, args.lam)
     report.save(os.path.join(args.out_dir, "bias_report.json"))

@@ -10,8 +10,9 @@ set's pair values (`SupportPattern.index_arrays` order); its descent is its
 `mle.pair_weights` inner product with the gradient plus the l1 change.
 
 Each coordinate update needs one entry of W D W (W = Q^{-1}, D the
-direction so far). When the free set F has |F|^2 <= HESSIAN_ELEMS, the
-Newton step first builds the explicit |F| x |F| matrix of that operator
+direction so far). When the free set F has |F|^2 <= mle.HESSIAN_ELEMS
+(the bound that also picks the MLE's Newton operator), the Newton step
+first builds the explicit |F| x |F| matrix of that operator
 (`mle.hessian_matrix`), and each coordinate costs one dot with its row.
 On larger free sets, where that matrix would cost more than it saves (or
 not fit), the loop keeps U = D W instead: one dot and two rank-one row
@@ -27,8 +28,8 @@ support-constrained MLE, warm-started at the lasso iterate (`refit`).
 
 `GlassoConfig` holds the settings callers vary: lam, penalize_diagonal,
 newton_tol and max_newton_iters. The coordinate descent's sweep cap and
-tolerance (LASSO_INNER_ITERS, SUB_TOL), PRUNE_EPS and HESSIAN_ELEMS are
-module constants, read at each call.
+tolerance (LASSO_INNER_ITERS, SUB_TOL) and PRUNE_EPS are module constants,
+read at each call.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mle
 from .matrices import SparseSpd, SupportPattern, check_symmetric, spd_inverse
 from .mle import (
     MleConfig,
@@ -52,12 +54,6 @@ from .mle import (
 
 # glasso_solve prunes estimate entries of at most this magnitude (the diagonal stays)
 PRUNE_EPS = 1e-8
-# lasso_newton_direction reads its coordinates from the explicit |F| x |F| Newton
-# matrix for free sets F with |F|^2 at most this many entries (8 MB of float64),
-# and from U = Delta W above it. A 20-sweep direction at n = 256 took 29 against
-# 46 ms at |F| = 736, 61 against 71 ms at |F| = 1024 and 74 against 52 ms at
-# |F| = 1448; at |F| = 8749 (n = 1024) the matrix alone would be 612 MB.
-HESSIAN_ELEMS = 1 << 20
 # each Newton direction runs at most LASSO_INNER_ITERS coordinate-descent sweeps,
 # and stops after a sweep whose largest coordinate change is at most SUB_TOL
 LASSO_INNER_ITERS = 20
@@ -158,7 +154,7 @@ def lasso_newton_direction(
     sweeps run. Each coordinate gets an exact soft-threshold update; sweeps
     stop after LASSO_INNER_ITERS or when the largest coordinate change falls
     below SUB_TOL. Coordinate k reads b_k = g_k + (W D W)_k from the explicit
-    Newton matrix when |F|^2 <= HESSIAN_ELEMS, and from U = D W above it.
+    Newton matrix when |F|^2 <= mle.HESSIAN_ELEMS, and from U = D W above it.
     """
     w = spd_inverse(q)
     rows, cols = free.index_arrays()
@@ -174,7 +170,7 @@ def lasso_newton_direction(
             q.dense[rows, cols].tolist(),
         )
     )
-    if len(coords) ** 2 <= HESSIAN_ELEMS:
+    if len(coords) ** 2 <= mle.HESSIAN_ELEMS:
         return _explicit_sweeps(hessian_matrix(w, free), coords)
     return _product_sweeps(w, rows.tolist(), cols.tolist(), coords)
 

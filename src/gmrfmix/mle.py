@@ -5,15 +5,19 @@ support is restricted to a given pattern. The gradient S - W (W = Q^{-1}),
 the Newton direction and the line-search step are each a vector of the |P|
 pattern pair values (`SupportPattern.index_arrays` order). The direction
 solves hessian_apply(W, pattern)(x) = -g, the pair values of W Delta W,
-by diagonally preconditioned conjugate gradient (`proj_pcg`). An Armijo
-backtracking line search, which also guards positive-definiteness via
-Cholesky, follows. The graphical lasso (`glasso.glasso_solve`) takes its
-steps with the same search (`armijo_spd_search`) on its penalized objective.
+by diagonally preconditioned conjugate gradient (`proj_pcg`). One rule,
+shared with glasso's coordinate descent, picks the operator's form: the
+explicit |P| x |P| matrix while |P|^2 <= HESSIAN_ELEMS, a sparse product
+above it. An Armijo backtracking line search, which also guards
+positive-definiteness via Cholesky, follows. The graphical lasso
+(`glasso.glasso_solve`) takes its steps with the same search
+(`armijo_spd_search`) on its penalized objective.
 
 `MleConfig` holds the one setting callers vary, the stop tolerance
 outer_tol. The others are module constants, read at each call: the Newton
 cap MAX_OUTER_ITERS, the PCG tolerance and cap PCG_TOL and MAX_PCG_ITERS,
-and the line search's ARMIJO_C, BACKTRACK_FACTOR and MAX_BACKTRACKS.
+the operator's bound HESSIAN_ELEMS, and the line search's ARMIJO_C,
+BACKTRACK_FACTOR and MAX_BACKTRACKS.
 """
 
 from __future__ import annotations
@@ -31,10 +35,13 @@ RIDGE_EPS = 1e-6
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 40
-# the Newton operator forms sparse products on patterns that fill at most this
-# share of the n x n entries, and dense ones above it (the two cost the same
-# near a 3-5% fill on grid patterns at n = 100-256)
-SPARSE_FILL = 0.03
+# the one rule for the Newton operator of both solvers: a pattern of |P| pairs
+# gets the explicit |P| x |P| matrix (hessian_matrix) while |P|^2 is at most
+# this many entries (8 MB of float64), and a product form above it, which
+# holds no |P|^2 array (at |P| = 8749, n = 1024, the matrix would be 612 MB).
+# A 20-sweep glasso direction at n = 256 took 29 ms with the matrix against
+# 46 ms with U = Delta W at |F| = 736, and 74 against 52 ms at |F| = 1448.
+HESSIAN_ELEMS = 1 << 20
 # elements of W gathered per block by the sparse operator: 512 KB of float64
 # (1 MB blocks made an apply 3x slower at n = 256)
 GATHER_ELEMS = 1 << 16
@@ -133,24 +140,17 @@ def hessian_apply(w: np.ndarray, pattern: SupportPattern):
     """The Newton operator: x -> the pair values of W Delta W, for Delta the
     symmetric matrix with pair values x (both in `index_arrays` order).
 
-    Delta is held once, and each call only overwrites its pattern entries.
-    On a pattern that fills at most SPARSE_FILL of the n x n entries, Delta
-    is a scipy.sparse CSR matrix on the pattern's cached structure. U =
-    Delta W costs nnz * n; pair (i, j) of W U is row i of W dotted with row
-    j of U^T, gathered for GATHER_ELEMS / n pairs at a time, so |P| * n
-    more. On a fuller pattern Delta is dense and two dense products cost less.
+    While |P|^2 <= HESSIAN_ELEMS this is the product with the explicit
+    matrix, hessian_matrix(w, pattern).dot. Above it Delta is a
+    scipy.sparse CSR matrix on the pattern's cached structure, held once,
+    and each call only overwrites its pattern entries. U = Delta W costs
+    nnz * n; pair (i, j) of W U is row i of W dotted with row j of U^T,
+    gathered for GATHER_ELEMS / n pairs at a time, so |P| * n more.
     """
     rows, cols = pattern.index_arrays()
+    if len(rows) ** 2 <= HESSIAN_ELEMS:
+        return hessian_matrix(w, pattern).dot
     n = pattern.n
-    if 2 * len(rows) - n > SPARSE_FILL * n * n:
-        dense = np.zeros((n, n))
-
-        def apply_dense(x: np.ndarray) -> np.ndarray:
-            dense[rows, cols] = x
-            dense[cols, rows] = x
-            return (w @ dense @ w)[rows, cols]
-
-        return apply_dense
     indptr, indices, pair = pattern.csr_structure()
     delta = scipy.sparse.csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n))
     step = max(1, GATHER_ELEMS // n)

@@ -386,6 +386,28 @@ class TestBiasReport:
         assert calls == []
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "flag, cfg",
+        [("", None), (" , ", None), (None, {"estimators": ""})],
+        ids=["empty", "blank-names", "empty-in-config"],
+    )
+    def test_no_estimator_is_usage_error(self, tmp_path, capsys, flag, cfg):
+        data_dir = generate_lattice(tmp_path, rows=2, cols=2, samples=50)
+        config, estimators = [], [f"--estimators={flag}"]
+        if cfg is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            config, estimators = ["--config", str(cfg_path)], []
+        capsys.readouterr()
+        code = run(
+            *config, "bias-report", "--truth", str(data_dir / "truth.json"),
+            "--data", str(data_dir / "data.csv"), "--lambda", "0.1", *estimators,
+            "--out-dir", str(tmp_path / "r"),
+        )
+        err = assert_one_line_usage_error(code, capsys)
+        assert err == "usage error: --estimators names no estimator\n"
+        assert not (tmp_path / "r").exists()
+
     def test_estimates_equal_direct_solver_calls(self, tmp_path, monkeypatch):
         data_dir = generate_lattice(tmp_path)
         seen = []

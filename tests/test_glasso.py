@@ -155,7 +155,7 @@ def test_explicit_and_product_loops_agree(monkeypatch, seed, penalize_diagonal):
     def no_matrix(*args):
         raise AssertionError("the fallback built the explicit Newton matrix")
 
-    monkeypatch.setattr(glasso, "HESSIAN_ELEMS", len(free) ** 2 - 1)
+    monkeypatch.setattr(mle, "HESSIAN_ELEMS", len(free) ** 2 - 1)
     monkeypatch.setattr(glasso, "hessian_matrix", no_matrix)
     product, product_sweeps = lasso_newton_direction(q, s, free, cfg)
     assert product_sweeps == sweeps

@@ -259,11 +259,19 @@ class TestProjPcg:
         assert frobenius(resid, pattern) <= 1e-3 * frobenius(g, pattern)
 
 
-@pytest.mark.parametrize("sparse_fill", [0.0, 1.0], ids=["dense-products", "sparse-products"])
+# HESSIAN_ELEMS at its default puts every drawn pattern in the explicit-matrix
+# regime, a dense |P| x |P| product; at 0 every pattern, up to a full one,
+# takes the sparse product
+REGIMES = pytest.mark.parametrize(
+    "hessian_elems", [mle.HESSIAN_ELEMS, 0], ids=["dense-products", "sparse-products"]
+)
+
+
+@REGIMES
 class TestNewtonOperatorProperties:
-    """Both products of the Newton operator against numpy, on random SPD W
-    (n 1-30) and patterns from diagonal-only to full. The sparse one gathers
-    8 elements of W per block, so that every pattern spans several blocks."""
+    """Both regimes of the Newton operator against numpy, on random SPD W
+    (n 1-30) and patterns from diagonal-only to full. Both gather 8 elements
+    of W per block, so that every pattern spans several blocks."""
 
     @staticmethod
     def draw(n, fill, seed):
@@ -276,11 +284,11 @@ class TestNewtonOperatorProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-    def test_apply_matches_numpy(self, sparse_fill, n, fill, seed):
+    def test_apply_matches_numpy(self, hessian_elems, n, fill, seed):
         pattern, q, delta = self.draw(n, fill, seed)
         w = spd_inverse(q)
         rows, cols = pattern.index_arrays()
-        with mock.patch.object(mle, "SPARSE_FILL", sparse_fill), \
+        with mock.patch.object(mle, "HESSIAN_ELEMS", hessian_elems), \
                 mock.patch.object(mle, "GATHER_ELEMS", 8):
             apply = hessian_apply(w, pattern)
             got = apply(delta[rows, cols])
@@ -297,10 +305,10 @@ class TestNewtonOperatorProperties:
         st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
         st.sampled_from([1e-1, 1e-3, 1e-6]), st.integers(1, 60),
     )
-    def test_pcg_direction_meets_its_tolerance(self, sparse_fill, n, fill, seed, tol, iters):
+    def test_pcg_direction_meets_its_tolerance(self, hessian_elems, n, fill, seed, tol, iters):
         pattern, q, g = self.draw(n, fill, seed)
         rows, cols = pattern.index_arrays()
-        with mock.patch.object(mle, "SPARSE_FILL", sparse_fill), \
+        with mock.patch.object(mle, "HESSIAN_ELEMS", hessian_elems), \
                 mock.patch.object(mle, "GATHER_ELEMS", 8), \
                 mock.patch.object(mle, "PCG_TOL", tol), \
                 mock.patch.object(mle, "MAX_PCG_ITERS", iters):
@@ -312,12 +320,12 @@ class TestNewtonOperatorProperties:
             assert np.linalg.norm(resid) <= tol * np.linalg.norm(g)
 
 
-@pytest.mark.parametrize("sparse_fill", [0.0, 1.0], ids=["dense-products", "sparse-products"])
+@REGIMES
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 20), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_hessian_matrix_is_the_operator(sparse_fill, n, fill, seed):
-    """hessian_matrix(w, p) @ x equals hessian_apply(w, p)(x) through either of
-    its products, on random SPD W and patterns from diagonal-only to full
+def test_hessian_matrix_is_the_operator(hessian_elems, n, fill, seed):
+    """hessian_matrix(w, p) @ x equals hessian_apply(w, p)(x) in either of
+    its regimes, on random SPD W and patterns from diagonal-only to full
     (built 8 / |P| rows at a time, so in several blocks), and
     pair_weights(p)[:, None] * H is symmetric (the operator is self-adjoint in
     the trace inner product)."""
@@ -325,7 +333,7 @@ def test_hessian_matrix_is_the_operator(sparse_fill, n, fill, seed):
     w = spd_inverse(q)
     rows, cols = pattern.index_arrays()
     x = delta[rows, cols]
-    with mock.patch.object(mle, "SPARSE_FILL", sparse_fill), \
+    with mock.patch.object(mle, "HESSIAN_ELEMS", hessian_elems), \
             mock.patch.object(mle, "GATHER_ELEMS", 8):
         h = hessian_matrix(w, pattern)
         want = hessian_apply(w, pattern)(x)
@@ -576,22 +584,27 @@ def test_pcg_iters_counts_the_operator_applies(monkeypatch):
 def test_lattice_solves_match_tight_pcg_within_outer_tol():
     """Known-support and refit (lambda 0.25 support) on one 16x16 lattice sample.
 
-    Both solves and their PCG_TOL=1e-8 counterparts stop with every pattern
-    entry of the gradient S - Q^{-1} within outer_tol. The objective's
-    Hessian on the pattern subspace is Q^{-1} (x) Q^{-1}, whose smallest
-    eigenvalue is at least 1/L^2 on the segment between the two solutions,
-    for L the larger of their largest eigenvalues. So
-    ||Q - Q'||_F <= L^2 ||g - g'||_F <= 2 L^2 outer_tol sqrt(nnz).
+    Both solves, their PCG_TOL=1e-8 counterparts and their counterparts on
+    the sparse product (HESSIAN_ELEMS 0; the defaults build the explicit
+    matrix) stop with every pattern entry of the gradient S - Q^{-1} within
+    outer_tol. The objective's Hessian on the pattern subspace is
+    Q^{-1} (x) Q^{-1}, whose smallest eigenvalue is at least 1/L^2 on the
+    segment between two solutions, for L the larger of their largest
+    eigenvalues. So ||Q - Q'||_F <= L^2 ||g - g'||_F <= 2 L^2 outer_tol sqrt(nnz).
     """
     q_true, s = lattice_problem()
     lasso = glasso.glasso_solve(s, glasso.GlassoConfig(lam=0.25)).q
     for pattern, q0 in ((q_true.pattern, None), (lasso.pattern, lasso)):
         a = estimate_known_support(s, pattern, q0=q0)
         with mock.patch.object(mle, "PCG_TOL", 1e-8):
-            b = estimate_known_support(s, pattern, q0=q0)
-        for res in (a, b):
-            assert res.converged and res.grad_max <= MleConfig().outer_tol
-        top = max(np.linalg.eigvalsh(a.q.dense)[-1], np.linalg.eigvalsh(b.q.dense)[-1])
+            tight = estimate_known_support(s, pattern, q0=q0)
+        with mock.patch.object(mle, "HESSIAN_ELEMS", 0), \
+                mock.patch.object(mle, "hessian_matrix", side_effect=AssertionError("built H")):
+            product = estimate_known_support(s, pattern, q0=q0)
         nnz = np.count_nonzero(pattern.mask())
-        bound = 2.0 * top**2 * MleConfig().outer_tol * np.sqrt(nnz)
-        assert np.linalg.norm(a.q.dense - b.q.dense) <= bound
+        for b in (tight, product):
+            for res in (a, b):
+                assert res.converged and res.grad_max <= MleConfig().outer_tol
+            top = max(np.linalg.eigvalsh(a.q.dense)[-1], np.linalg.eigvalsh(b.q.dense)[-1])
+            bound = 2.0 * top**2 * MleConfig().outer_tol * np.sqrt(nnz)
+            assert np.linalg.norm(a.q.dense - b.q.dense) <= bound
