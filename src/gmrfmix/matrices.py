@@ -54,8 +54,7 @@ class SupportPattern:
     Stored as two read-only views of the same set, both built once at
     construction: the symmetric boolean n x n mask (diagonal set) and the
     (rows, cols) index arrays of its upper triangle (i <= j) in row-major
-    order. A third view, the CSR structure of the symmetric pattern, is built
-    on the first `csr_structure` call and kept. Instances are immutable.
+    order. Instances are immutable: nothing is set after construction.
     """
 
     def __init__(self, n: int, pairs=()):
@@ -81,7 +80,6 @@ class SupportPattern:
         for a in (mask, self._rows, self._cols):
             a.setflags(write=False)
         self._mask = mask
-        self._csr = None  # filled by csr_structure
 
     @classmethod
     def full(cls, n: int) -> "SupportPattern":
@@ -114,29 +112,6 @@ class SupportPattern:
     def index_arrays(self):
         """(rows, cols) index arrays over the pairs (i <= j), in row-major order; read-only."""
         return self._rows, self._cols
-
-    def csr_structure(self):
-        """(indptr, indices, pair) of the symmetric pattern in CSR form; read-only.
-
-        Row i of the CSR matrix stores the columns j with (i, j) on the
-        pattern, in ascending order, and pair[e] is the position in
-        `index_arrays` order of the pair (min(i, j), max(i, j)) that stored
-        entry e holds, so `values[pair]` is the CSR data of the symmetric
-        matrix with those pair values. Built on the first call and kept; the
-        int32 indices are the ones scipy.sparse keeps without a copy.
-        """
-        if self._csr is None:
-            n = self.n
-            r, c = np.divmod(np.flatnonzero(self._mask), n)  # row-major: CSR order
-            upper = self._rows * n + self._cols  # ascending
-            pair = np.searchsorted(upper, np.minimum(r, c) * n + np.maximum(r, c))
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(np.count_nonzero(self._mask, axis=1), out=indptr[1:])
-            csr = (indptr, c.astype(np.int32), pair)
-            for a in csr:
-                a.setflags(write=False)
-            self._csr = csr
-        return self._csr
 
     def issubset(self, other: "SupportPattern") -> bool:
         return self.n == other.n and not np.any(self._mask & ~other._mask)

@@ -142,17 +142,22 @@ def hessian_apply(w: np.ndarray, pattern: SupportPattern):
 
     While |P|^2 <= HESSIAN_ELEMS this is the product with the explicit
     matrix, hessian_matrix(w, pattern).dot. Above it Delta is a
-    scipy.sparse CSR matrix on the pattern's cached structure, held once,
-    and each call only overwrites its pattern entries. U = Delta W costs
-    nnz * n; pair (i, j) of W U is row i of W dotted with row j of U^T,
-    gathered for GATHER_ELEMS / n pairs at a time, so |P| * n more.
+    scipy.sparse CSR matrix on the symmetric pattern, its structure built
+    here once per call from the pattern's mask and index arrays, and each
+    apply only overwrites its entries: stored entry e holds pair value
+    x[pair[e]]. U = Delta W costs nnz * n; pair (i, j) of W U is row i of
+    W dotted with row j of U^T, gathered for GATHER_ELEMS / n pairs at a
+    time, so |P| * n more.
     """
     rows, cols = pattern.index_arrays()
     if len(rows) ** 2 <= HESSIAN_ELEMS:
         return hessian_matrix(w, pattern).dot
     n = pattern.n
-    indptr, indices, pair = pattern.csr_structure()
-    delta = scipy.sparse.csr_matrix((np.empty(len(indices)), indices, indptr), shape=(n, n))
+    r, c = np.divmod(np.flatnonzero(pattern.mask()), n)  # row-major: CSR order
+    pair = np.searchsorted(rows * n + cols, np.minimum(r, c) * n + np.maximum(r, c))
+    # int32 indices, which scipy.sparse keeps without a copy
+    indptr = np.searchsorted(r, np.arange(n + 1)).astype(np.int32)
+    delta = scipy.sparse.csr_matrix((np.empty(len(c)), c.astype(np.int32), indptr), shape=(n, n))
     step = max(1, GATHER_ELEMS // n)
 
     def apply(x: np.ndarray) -> np.ndarray:
