@@ -48,8 +48,8 @@ from .mle import (
     estimate_known_support,
     hessian_matrix,
     neg_log_likelihood,
+    newton_diagonal,
     pair_weights,
-    precond_weights,
 )
 
 # glasso_solve prunes estimate entries of at most this magnitude (the diagonal stays)
@@ -158,7 +158,7 @@ def lasso_newton_direction(
     """
     w = spd_inverse(q)
     rows, cols = free.index_arrays()
-    a = precond_weights(w, free)  # the diagonal of the Newton operator
+    a = newton_diagonal(w, free)
     penalized = _penalized(q.n, cfg)[rows, cols]
     # Per-coordinate scalars are gathered once into Python floats: numpy
     # scalar indexing, not arithmetic, dominated each coordinate update.

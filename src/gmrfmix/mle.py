@@ -5,7 +5,7 @@ support is restricted to a given pattern. The gradient S - W (W = Q^{-1}),
 the Newton direction and the line-search step are each a vector of the |P|
 pattern pair values (`SupportPattern.index_arrays` order). The direction
 solves hessian_apply(W, pattern)(x) = -g, the pair values of W Delta W,
-by diagonally preconditioned conjugate gradient (`proj_pcg`). One rule,
+by conjugate gradient in the Frobenius inner product (`proj_pcg`). One rule,
 shared with glasso's coordinate descent, picks the operator's form: the
 explicit |P| x |P| matrix while |P|^2 <= HESSIAN_ELEMS, a sparse product
 above it. An Armijo backtracking line search, which also guards
@@ -198,11 +198,12 @@ def hessian_matrix(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
     return h
 
 
-def precond_weights(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
-    """Diagonal preconditioner weight of each pattern pair, in `index_arrays` order.
+def newton_diagonal(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
+    """The diagonal of the Newton operator in the pair coordinates, in `index_arrays` order.
 
-    M_ij = W_ii W_jj + W_ij^2 off the diagonal, M_ii = W_ii^2: the diagonal
-    of the Newton operator in the pair coordinates, positive for SPD W.
+    W_ii W_jj + W_ij^2 for an off-diagonal pair (i, j), W_ii^2 for a
+    diagonal one: np.diag(hessian_matrix(w, pattern)), positive for SPD W.
+    It is the a_k of glasso's coordinate updates.
     """
     rows, cols = pattern.index_arrays()
     d = np.diag(w)
@@ -210,43 +211,38 @@ def precond_weights(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
 
 
 def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern):
-    """Solve hessian_apply(W, pattern)(x) = -g by PCG (W = Q^{-1}).
+    """Solve hessian_apply(W, pattern)(x) = -g by conjugate gradient (W = Q^{-1}).
 
     Returns (x, converged, iterations), the last the number of operator
     applies. g and x are pair-value vectors (`index_arrays` order). Inner
     products weight the pairs by `pair_weights`, so they are the Frobenius
-    products of the symmetric matrices: the stop test is ||r||_F <=
-    PCG_TOL ||g||_F, tried after each of at most MAX_PCG_ITERS applies.
-    The preconditioner divides residuals by precond_weights. Even a
-    truncated solution is a descent direction because the operator is SPD
-    on the pattern subspace.
+    products of the symmetric matrices, in which the operator is SPD: the
+    stop test is ||r||_F <= PCG_TOL ||g||_F, tried after each of at most
+    MAX_PCG_ITERS applies. Even a truncated solution is a descent
+    direction for that reason.
     """
     weight = pair_weights(pattern)
     r = -g  # residual of A x = -g at x = 0
     x = np.zeros_like(r)
-    g_norm = np.sqrt(np.dot(weight * r, r))
-    if g_norm == 0.0:
+    rr = np.dot(weight * r, r)
+    if rr == 0.0:
         return x, True, 0
-    w = spd_inverse(q)
-    apply = hessian_apply(w, pattern)
-    m = precond_weights(w, pattern)
-    z = r / m
-    p = z.copy()
-    rz = np.dot(weight * r, z)
+    stop = PCG_TOL**2 * rr
+    apply = hessian_apply(spd_inverse(q), pattern)
+    p = r.copy()
     for it in range(1, MAX_PCG_ITERS + 1):
         ap = apply(p)
         p_ap = np.dot(weight * p, ap)
         if p_ap <= 0.0:
             break  # numerical loss of positive-definiteness; keep current x
-        alpha = rz / p_ap
+        alpha = rr / p_ap
         x += alpha * p
         r -= alpha * ap
-        if np.sqrt(np.dot(weight * r, r)) <= PCG_TOL * g_norm:
+        rr_new = np.dot(weight * r, r)
+        if rr_new <= stop:
             return x, True, it
-        z = r / m
-        rz_new = np.dot(weight * r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     return x, False, it
 
 

@@ -21,8 +21,8 @@ from gmrfmix.mle import (
     hessian_apply,
     hessian_matrix,
     neg_log_likelihood,
+    newton_diagonal,
     pair_weights,
-    precond_weights,
     proj_pcg,
 )
 
@@ -189,25 +189,25 @@ class TestHessianApply:
             assert np.max(np.abs(fd[rows, cols] - analytic)) < 1e-4
 
 
-class TestPrecondWeights:
+class TestNewtonDiagonal:
     # one weight per pattern pair, in index_arrays order: full(2) is (0,0), (0,1), (1,1)
     def test_identity(self):
-        m = precond_weights(np.eye(3), SupportPattern.full(3))
+        m = newton_diagonal(np.eye(3), SupportPattern.full(3))
         assert np.allclose(m, np.ones(6))
 
     def test_diagonal(self):
-        m = precond_weights(np.diag([2.0, 3.0]), SupportPattern.full(2))
+        m = newton_diagonal(np.diag([2.0, 3.0]), SupportPattern.full(2))
         assert m.tolist() == [4.0, 6.0, 9.0]
 
     def test_off_diagonal_formula(self):
         w = np.array([[1.0, 0.5], [0.5, 1.0]])
-        m = precond_weights(w, SupportPattern.full(2))
+        m = newton_diagonal(w, SupportPattern.full(2))
         assert m[1] == pytest.approx(1.25)
 
     def test_positive_for_spd(self):
         rng = np.random.default_rng(5)
         q = random_sparse_spd(6, rng, fill=1.0)
-        m = precond_weights(spd_inverse(q), SupportPattern.full(6))
+        m = newton_diagonal(spd_inverse(q), SupportPattern.full(6))
         assert m.shape == (21,) and np.all(m > 0)
 
 
@@ -342,6 +342,19 @@ def test_hessian_matrix_is_the_operator(hessian_elems, n, fill, seed):
     np.testing.assert_allclose(h @ x, want, rtol=1e-12, atol=atol)
     weighted = pair_weights(pattern)[:, None] * h
     np.testing.assert_allclose(weighted, weighted.T, rtol=1e-12, atol=1e-12 * np.abs(weighted).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_newton_diagonal_is_the_matrix_diagonal(n, fill, seed):
+    """newton_diagonal(w, p) is exactly the diagonal of hessian_matrix(w, p)
+    (built 8 / |P| rows at a time), the a_k that glasso's coordinate
+    descent divides by."""
+    pattern, q, _ = TestNewtonOperatorProperties.draw(n, fill, seed)
+    w = spd_inverse(q)
+    with mock.patch.object(mle, "GATHER_ELEMS", 8):
+        h = hessian_matrix(w, pattern)
+    np.testing.assert_array_equal(newton_diagonal(w, pattern), np.diag(h))
 
 
 def nll_search(q, s, g, delta, pattern=None):
