@@ -1,9 +1,12 @@
 """Dense symmetric and pattern-sparse SPD matrix types.
 
 Matrices are stored as full numpy squares; symmetry is an enforced
-invariant, not a storage format. Everything here is immutable after
-construction and safe to share across workers, except a SparseSpd's
-dense inverse: `spd_inverse` fills it once, on first use.
+invariant, not a storage format. `check_symmetric` checks a matrix that a
+library caller passes in: square, finite, then symmetric. Everything here
+is immutable after construction and safe to share across workers: a
+SupportPattern holds two read-only views and sets nothing later. The one
+exception is a SparseSpd's dense inverse, which `spd_inverse` fills once,
+on first use.
 """
 
 from __future__ import annotations
@@ -24,10 +27,15 @@ _SYM_RTOL = 1e-12
 
 
 def check_symmetric(m: np.ndarray) -> np.ndarray:
-    """Validate that m is a square symmetric 2-d float array; return it as float64."""
+    """Validate that m is a square symmetric 2-d float array; return it as float64.
+
+    ValueError on a NaN or an infinite entry, before symmetry is tested.
+    """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has NaN or Inf entries")
     scale = max(1.0, float(np.max(np.abs(m))))
     if not np.allclose(m, m.T, atol=_SYM_RTOL * scale, rtol=0.0):
         raise DimensionMismatch("matrix is not symmetric")

@@ -130,6 +130,39 @@ def test_numerically_singular_covariance_is_singular_covariance(k, n, per_dim, s
         fit_em(np.vstack(blocks), cfg, seed=seed)
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+
+
+@NON_FINITE
+@pytest.mark.parametrize("where", [[(1, 1)], [(0, 2), (2, 0)], [(0, 1)]],
+                         ids=["diagonal", "symmetric-pair", "one-entry"])
+@pytest.mark.parametrize("entry", [
+    SparseSpd,
+    lambda m: glasso.glasso_solve(m, glasso.GlassoConfig(lam=0.1)),
+    lambda m: estimate_known_support(m, SupportPattern.full(3)),
+    dense_mle,
+], ids=["SparseSpd", "glasso_solve", "estimate_known_support", "dense_mle"])
+def test_non_finite_matrix_is_value_error(entry, where, bad):
+    """A NaN or an infinite entry is named as such by every entry point that
+    takes a matrix, wherever it sits and whether or not it is mirrored."""
+    m = 2.0 * np.eye(3)
+    for ij in where:
+        m[ij] = bad
+    with pytest.raises(ValueError, match="matrix has NaN or Inf entries"):
+        entry(m)
+
+
+@NON_FINITE
+def test_non_finite_data_is_value_error_in_em(bad):
+    """fit_em passes a non-finite point on to the M-step's covariance, which
+    its estimator rejects."""
+    data = np.random.default_rng(0).standard_normal((30, 3))
+    data[4, 1] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="matrix has NaN or Inf entries"):
+        fit_em(data, EmConfig(estimator=BaselineEstimator(), k=1))
+
+
 class TestPairWeights:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
