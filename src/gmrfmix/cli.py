@@ -192,7 +192,7 @@ def _cold_fits(names, s: np.ndarray, lam: float, patterns=lambda: None) -> dict:
             if lasso is None:
                 lasso = glasso_solve(s, est.cfg).q
             debiased = isinstance(est, DebiasedEstimator)
-            estimates[name] = refit(s, lasso, est.mle_cfg).q if debiased else lasso
+            estimates[name] = refit(s, lasso).q if debiased else lasso
         else:
             estimates[name] = est.fit(s, None, 0)
     return estimates

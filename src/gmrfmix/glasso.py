@@ -264,11 +264,10 @@ def glasso_solve(
         iters = t + 1
 
     result_q = _prune(q.dense)
-    gap = stationarity_gap(result_q.dense, spd_inverse(result_q), s, cfg)
     return GlassoResult(
         q=result_q,
         objective_trace=trace,
-        kkt_residual=float(np.max(gap)),
+        kkt_residual=kkt_residual(result_q.dense, spd_inverse(result_q), s, cfg),
         converged=converged,
         iterations=iters,
         sweeps=sweeps,
@@ -281,7 +280,7 @@ def refit(s: np.ndarray, q_lasso: SparseSpd, mle_cfg: MleConfig | None = None) -
     Discards the values of q_lasso, keeps its support, and re-solves the
     support-constrained MLE warm-started at q_lasso.
     """
-    return estimate_known_support(s, q_lasso.pattern, q0=q_lasso, cfg=mle_cfg or MleConfig())
+    return estimate_known_support(s, q_lasso.pattern, q0=q_lasso, cfg=mle_cfg)
 
 
 def debias(

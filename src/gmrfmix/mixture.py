@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateInit, DimensionMismatch, EmptyComponent
 from .glasso import GlassoConfig, debias, glasso_solve
 from .matrices import SparseSpd, SupportPattern, write_atomic_text
-from .mle import MleConfig, dense_mle, estimate_known_support
+from .mle import dense_mle, estimate_known_support
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # fit_em stops once an iteration changes the total log-likelihood by at most
@@ -131,10 +131,9 @@ class GlassoEstimator:
 @dataclass
 class DebiasedEstimator:
     cfg: GlassoConfig = field(default_factory=GlassoConfig)
-    mle_cfg: MleConfig = field(default_factory=MleConfig)
 
     def fit(self, s: np.ndarray, warm: SparseSpd | None, k: int) -> SparseSpd:
-        return debias(s, self.cfg, self.mle_cfg, q0=warm).q
+        return debias(s, self.cfg, q0=warm).q
 
 
 @dataclass
@@ -142,12 +141,11 @@ class KnownSupportEstimator:
     """Constrained MLE with a (component-specific) fixed support per component."""
 
     patterns: list[SupportPattern]
-    mle_cfg: MleConfig = field(default_factory=MleConfig)
 
     def fit(self, s: np.ndarray, warm: SparseSpd | None, k: int) -> SparseSpd:
         pattern = self.patterns[k] if len(self.patterns) > 1 else self.patterns[0]
         q0 = warm if warm is not None and warm.pattern.issubset(pattern) else None
-        return estimate_known_support(s, pattern, q0=q0, cfg=self.mle_cfg).q
+        return estimate_known_support(s, pattern, q0=q0).q
 
 
 @dataclass

@@ -72,14 +72,13 @@ def laplacian2d_precision(spec: LatticeSpec) -> SparseSpd:
     return SparseSpd._stored(q, _grid_pattern(spec.rows, spec.cols))
 
 
-def diffusion_precision(spec: DiffusionSpec, anchor: bool = True) -> SparseSpd:
+def diffusion_precision(spec: DiffusionSpec) -> SparseSpd:
     """Finite-difference anisotropic diffusion precision on a grid.
 
     Q = Dx^T diag(a_e) Dx + Dy^T diag(b_e) Dy + eps I, with node
     coefficients drawn i.i.d. uniform [coeff_low, coeff_high], edge
     coefficients the arithmetic mean of the adjacent nodes, and
-    eps = 1e-2 * coeff_low anchoring the pure-Neumann null space. Setting
-    anchor=False drops the eps term (the result is then singular).
+    eps = 1e-2 * coeff_low anchoring the pure-Neumann null space.
     """
     rows, cols = spec.rows, spec.cols
     n = rows * cols
@@ -94,8 +93,7 @@ def diffusion_precision(spec: DiffusionSpec, anchor: bool = True) -> SparseSpd:
     ends = np.column_stack([i, j]).ravel()
     np.add.at(q, (ends, ends), np.repeat(coeff, 2))
     q[i, j] = q[j, i] = -coeff
-    if anchor:
-        q += 1e-2 * spec.coeff_low * np.eye(n)
+    q += 1e-2 * spec.coeff_low * np.eye(n)
     return SparseSpd._stored(q, _grid_pattern(rows, cols))
 
 

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from gmrfmix.errors import NotSpd
 from gmrfmix.matrices import SparseSpd, SupportPattern, eigenvalues_sym, load_dense_csv
 from gmrfmix.synthetic import (
     DiffusionSpec,
@@ -75,11 +74,6 @@ class TestDiffusionPrecision:
         eps = 1e-2 * 1.0
         expected = np.array([[1.0, -1.0], [-1.0, 1.0]]) + eps * np.eye(2)
         assert np.allclose(q, expected)
-
-    def test_no_anchor_is_singular(self):
-        spec = DiffusionSpec(1, 2, coeff_low=1.0, coeff_high=1.0)
-        with pytest.raises(NotSpd):
-            diffusion_precision(spec, anchor=False)
 
     def test_unit_coefficients_match_laplacian_interior(self):
         spec = DiffusionSpec(5, 5, coeff_low=1.0, coeff_high=1.0)
