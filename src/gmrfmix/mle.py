@@ -4,20 +4,24 @@ The estimator minimizes -log det Q + tr(Q S) over SPD matrices whose
 support is restricted to a given pattern. The gradient S - W (W = Q^{-1}),
 the Newton direction and the line-search step are each a vector of the |P|
 pattern pair values (`SupportPattern.index_arrays` order). The direction
-solves hessian_apply(W, pattern)(x) = -g, the pair values of W Delta W,
-by conjugate gradient in the Frobenius inner product (`proj_pcg`). One rule,
-shared with glasso's coordinate descent, picks the operator's form: the
-explicit |P| x |P| matrix while |P|^2 <= HESSIAN_ELEMS, a sparse product
-above it. An Armijo backtracking line search, which also guards
-positive-definiteness via Cholesky, follows. The graphical lasso
-(`glasso.glasso_solve`) takes its steps with the same search
+solves hessian_apply(W, pattern)(x) = -g, the pair values of W Delta W
+(`proj_pcg`), in one of three regimes by the pattern's size:
+- |P| <= DIRECT_PAIRS: one Cholesky factorization of the explicit
+  |P| x |P| matrix gives the exact step;
+- |P|^2 <= HESSIAN_ELEMS: conjugate gradient in the Frobenius inner
+  product, applying the explicit matrix (`hessian_matrix`);
+- above that: the same CG, applying a sparse product.
+The last two bounds are the rule, shared with glasso's coordinate descent,
+that picks the operator's form. An Armijo backtracking line search, which
+also guards positive-definiteness via Cholesky, follows. The graphical
+lasso (`glasso.glasso_solve`) takes its steps with the same search
 (`armijo_spd_search`) on its penalized objective.
 
 `MleConfig` holds the one setting callers vary, the stop tolerance
 outer_tol. The others are module constants, read at each call: the Newton
 cap MAX_OUTER_ITERS, the PCG tolerance and cap PCG_TOL and MAX_PCG_ITERS,
-the operator's bound HESSIAN_ELEMS, and the line search's ARMIJO_C,
-BACKTRACK_FACTOR and MAX_BACKTRACKS.
+the regime bounds DIRECT_PAIRS and HESSIAN_ELEMS, and the line search's
+ARMIJO_C, BACKTRACK_FACTOR and MAX_BACKTRACKS.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatch, LineSearchFailed, SingularCovariance, NotSpd
 from .matrices import SparseSpd, SupportPattern, check_symmetric, spd_inverse
@@ -45,11 +50,21 @@ HESSIAN_ELEMS = 1 << 20
 # elements of W gathered per block by the sparse operator: 512 KB of float64
 # (1 MB blocks made an apply 3x slower at n = 256)
 GATHER_ELEMS = 1 << 16
+# _pair_products builds at most BLOCK_ROWS rows, and GATHER_ELEMS elements, per
+# block: at |P| = 280 (n = 100) 64-row blocks built the matrix in 0.57 ms,
+# against 1.55 ms with the 234 rows of GATHER_ELEMS alone (no change at
+# |P| >= 578), and they keep the unset part of an upper-triangle build small
+BLOCK_ROWS = 64
 # estimate_known_support takes at most MAX_OUTER_ITERS Newton steps; proj_pcg
 # stops at a residual of PCG_TOL times the gradient's, or after MAX_PCG_ITERS
 MAX_OUTER_ITERS = 200
 PCG_TOL = 1e-2
 MAX_PCG_ITERS = 200
+# proj_pcg solves the Newton system by one Cholesky factorization while |P| is
+# at most this many pairs, and by CG above it. The EM patterns (|P| 280-325)
+# took 53-107 CG applies per Newton step and gain; the 16x16 lattice patterns
+# (|P| 578-736) take about 23, and their direct solves took as long as CG
+DIRECT_PAIRS = 400
 
 
 @dataclass
@@ -68,8 +83,12 @@ class MleResult:
     converged: bool = False
     iterations: int = 0
     grad_max: float = np.inf  # max-abs gradient over the pattern pairs at q, the certificate
-    pcg_truncated: int = 0  # Newton steps whose PCG stopped before PCG_TOL
-    pcg_iters: int = 0  # PCG operator applies over all Newton steps
+    # Newton steps whose PCG stopped before PCG_TOL; a direct step (|P| <=
+    # DIRECT_PAIRS) is exact and never counts
+    pcg_truncated: int = 0
+    # operator applies over all Newton steps, a direct step counting as 1, so
+    # pcg_iters == iterations in the direct regime; a step with g = 0 counts 0
+    pcg_iters: int = 0
 
 
 def neg_log_likelihood(q: SparseSpd, s: np.ndarray) -> float:
@@ -177,24 +196,40 @@ def hessian_matrix(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
 
     H[k, l] = W[r_k, r_l] W[c_k, c_l] + W[r_k, c_l] W[c_k, r_l] for pairs
     k = (r_k, c_k) and l = (r_l, c_l), with the columns of diagonal pairs
-    halved, since a diagonal pair value enters Delta once, not twice. Rows
-    are filled GATHER_ELEMS / |P| at a time, so H is the one |P| x |P|
-    array built.
+    halved, since a diagonal pair value enters Delta once, not twice: the
+    symmetric `_pair_products` matrix times diag(0.5 or 1), scaled block by
+    block, so H is the one |P| x |P| array built.
     """
     rows, cols = pattern.index_arrays()
+    return _pair_products(w, rows, cols, scale=np.where(rows == cols, 0.5, 1.0))
+
+
+def _pair_products(
+    w: np.ndarray, rows: np.ndarray, cols: np.ndarray, scale: np.ndarray | None = None,
+    upper: bool = False,
+) -> np.ndarray:
+    """The symmetric |P| x |P| matrix of W[r_k, r_l] W[c_k, c_l] + W[r_k, c_l] W[c_k, r_l],
+    its columns times scale if given.
+
+    Rows are gathered BLOCK_ROWS, or GATHER_ELEMS / |P| if fewer, at a
+    time. With upper, a block of rows lo:hi fills only columns lo:, which
+    hold the upper triangle, and the rest of the array is left unset.
+    """
     w_rows, w_cols = w[rows], w[cols]  # W[r_k, :] and W[c_k, :], |P| x n
-    half = np.where(rows == cols, 0.5, 1.0)
     h = np.empty((len(rows), len(rows)))
-    step = max(1, GATHER_ELEMS // len(rows))
+    step = max(1, min(BLOCK_ROWS, GATHER_ELEMS // len(rows)))
     for lo in range(0, len(rows), step):
         hi = lo + step
-        block = h[lo:hi]
-        np.take(w_rows[lo:hi], rows, axis=1, out=block)
-        block *= np.take(w_cols[lo:hi], cols, axis=1)
-        cross = np.take(w_rows[lo:hi], cols, axis=1)
-        cross *= np.take(w_cols[lo:hi], rows, axis=1)
+        first = lo if upper else 0
+        r, c = rows[first:], cols[first:]
+        block = h[lo:hi, first:]
+        np.take(w_rows[lo:hi], r, axis=1, out=block)
+        block *= np.take(w_cols[lo:hi], c, axis=1)
+        cross = np.take(w_rows[lo:hi], c, axis=1)
+        cross *= np.take(w_cols[lo:hi], r, axis=1)
         block += cross
-        block *= half
+        if scale is not None:
+            block *= scale[first:]
     return h
 
 
@@ -211,15 +246,20 @@ def newton_diagonal(w: np.ndarray, pattern: SupportPattern) -> np.ndarray:
 
 
 def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern):
-    """Solve hessian_apply(W, pattern)(x) = -g by conjugate gradient (W = Q^{-1}).
+    """Solve hessian_apply(W, pattern)(x) = -g (W = Q^{-1}), directly while
+    |P| <= DIRECT_PAIRS and by conjugate gradient above it.
 
     Returns (x, converged, iterations), the last the number of operator
-    applies. g and x are pair-value vectors (`index_arrays` order). Inner
-    products weight the pairs by `pair_weights`, so they are the Frobenius
-    products of the symmetric matrices, in which the operator is SPD: the
-    stop test is ||r||_F <= PCG_TOL ||g||_F, tried after each of at most
-    MAX_PCG_ITERS applies. Even a truncated solution is a descent
-    direction for that reason.
+    applies. g and x are pair-value vectors (`index_arrays` order). g = 0
+    returns x = 0 after no apply. The direct solve (`_direct_step`) is one
+    Cholesky factorization of the explicit matrix, the exact step, and
+    counts as 1 converged apply; if the factorization fails, the same step
+    runs CG. CG inner products weight the pairs by `pair_weights`, so they
+    are the Frobenius products of the symmetric matrices, in which the
+    operator is SPD: the stop test is ||r||_F <= PCG_TOL ||g||_F, tried
+    after each of at most MAX_PCG_ITERS applies of hessian_apply (the
+    explicit matrix while |P|^2 <= HESSIAN_ELEMS, the sparse product above
+    it). Even a truncated solution is a descent direction for that reason.
     """
     weight = pair_weights(pattern)
     r = -g  # residual of A x = -g at x = 0
@@ -227,8 +267,13 @@ def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern):
     rr = np.dot(weight * r, r)
     if rr == 0.0:
         return x, True, 0
+    w = spd_inverse(q)
+    if len(r) <= DIRECT_PAIRS:
+        direct = _direct_step(w, g, pattern)
+        if direct is not None:
+            return direct, True, 1
     stop = PCG_TOL**2 * rr
-    apply = hessian_apply(spd_inverse(q), pattern)
+    apply = hessian_apply(w, pattern)
     p = r.copy()
     for it in range(1, MAX_PCG_ITERS + 1):
         ap = apply(p)
@@ -244,6 +289,26 @@ def proj_pcg(q: SparseSpd, g: np.ndarray, pattern: SupportPattern):
         p = r + (rr_new / rr) * p
         rr = rr_new
     return x, False, it
+
+
+def _direct_step(w: np.ndarray, g: np.ndarray, pattern: SupportPattern) -> np.ndarray | None:
+    """The exact solution of hessian_matrix(w, pattern) @ x = -g, or None if
+    the Cholesky factorization fails (LAPACK dpotrf info > 0).
+
+    That matrix is Hs diag(half), Hs the symmetric `_pair_products` matrix
+    and half 0.5 on the diagonal pairs and 1 elsewhere. So Hs y = -g is
+    solved from the upper triangle of Hs alone, and x is y doubled on the
+    diagonal pairs.
+    """
+    rows, cols = pattern.index_arrays()
+    hs = _pair_products(w, rows, cols, upper=True)
+    # hs.T is hs's memory in Fortran order, whose lower triangle is hs's upper one
+    factor, info = dpotrf(hs.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        return None
+    y, _ = dpotrs(factor, -g, lower=1)
+    y[rows == cols] *= 2.0
+    return y
 
 
 def armijo_spd_search(

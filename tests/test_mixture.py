@@ -1,11 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gmrfmix import mixture
+from gmrfmix import mixture, mle, synthetic
 from gmrfmix.errors import DegenerateInit, DimensionMismatch, EmptyComponent
 from gmrfmix.matrices import SparseSpd, SupportPattern
 from gmrfmix.mixture import (
@@ -22,7 +23,7 @@ from gmrfmix.mixture import (
     weighted_stats,
 )
 from gmrfmix.glasso import GlassoConfig
-from gmrfmix.errors import NotSpd, SingularCovariance
+from gmrfmix.errors import LineSearchFailed, NotSpd, SingularCovariance
 from gmrfmix.mle import dense_mle
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -253,6 +254,57 @@ class TestEmMonotonicity:
             assume(False)
         trace = np.asarray(trace)
         assert np.all(trace[1:] >= trace[:-1] - 1e-9 * np.abs(trace[:-1])), trace
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(2, 4),
+        st.integers(10, 12),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_known_support_m_step_never_lowers_the_log_likelihood(
+        self, k, rows, cols, per_dim, zero_means, seed
+    ):
+        """EM with the known-support M-step cannot lower the total log-likelihood.
+
+        The data are k diffusion components on a rows x cols grid (n <= 16),
+        with per_dim * n to per_dim * n + n points each, and each component
+        keeps its true grid pattern (|P| <= 40, in the direct regime). The
+        M-step is inexact (it stops at outer_tol), but it need not be exact:
+        it keeps the exact weights and means and is warm-started at the
+        previous precision, on its own pattern, and each of its Newton
+        steps passes the Armijo test, so the precision's objective
+        -log det Q + tr(Q S) at the new S is at most its value at the
+        previous precision. Each M-step therefore does not lower EM's lower
+        bound, and only rounding, the 1e-9 relative slack, can lower the
+        log-likelihood. A reseed (which replaces responsibilities and warm
+        starts) or a raise (a component collapsing onto too few points) is
+        outside that argument; such examples are discarded.
+        """
+        data, _, precisions = synthetic.make_clustering_dataset(
+            k, synthetic.DiffusionSpec(rows, cols), per_dim * rows * cols,
+            (per_dim + 1) * rows * cols, seed=seed,
+        )
+        patterns = [q.pattern for q in precisions]
+        assert max(len(p.index_arrays()[0]) for p in patterns) <= mle.DIRECT_PAIRS
+        cfg = EmConfig(
+            estimator=KnownSupportEstimator(patterns), k=k, max_em_iters=20,
+            fix_means_to_zero=zero_means,
+        )
+        with mock.patch.object(mixture, "_reseed_component", side_effect=Reseeded):
+            try:
+                _, trace, _ = fit_em(data, cfg, seed=seed)
+            except (Reseeded, DegenerateInit, SingularCovariance, NotSpd, LineSearchFailed,
+                    np.linalg.LinAlgError):
+                assume(False)
+        trace = np.asarray(trace)
+        assert np.all(trace[1:] >= trace[:-1] - 1e-9 * np.abs(trace[:-1])), trace
+
+
+class Reseeded(Exception):
+    pass
 
 
 class TestFitEm:

@@ -341,8 +341,11 @@ class TestNewtonOperatorProperties:
     def test_pcg_direction_meets_its_tolerance(self, hessian_elems, n, fill, seed, tol, iters):
         pattern, q, g = self.draw(n, fill, seed)
         rows, cols = pattern.index_arrays()
+        # DIRECT_PAIRS 0: CG on every pattern (test_direct_step_solves_the_newton_system
+        # covers the direct solve)
         with mock.patch.object(mle, "HESSIAN_ELEMS", hessian_elems), \
                 mock.patch.object(mle, "GATHER_ELEMS", 8), \
+                mock.patch.object(mle, "DIRECT_PAIRS", 0), \
                 mock.patch.object(mle, "PCG_TOL", tol), \
                 mock.patch.object(mle, "MAX_PCG_ITERS", iters):
             delta, ok, _ = proj_pcg(q, g[rows, cols], pattern)
@@ -375,6 +378,25 @@ def test_hessian_matrix_is_the_operator(hessian_elems, n, fill, seed):
     np.testing.assert_allclose(h @ x, want, rtol=1e-12, atol=atol)
     weighted = pair_weights(pattern)[:, None] * h
     np.testing.assert_allclose(weighted, weighted.T, rtol=1e-12, atol=1e-12 * np.abs(weighted).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_direct_step_solves_the_newton_system(n, fill, seed):
+    """At n <= 20 every pattern has |P| <= DIRECT_PAIRS, and proj_pcg's
+    Cholesky solve, from an upper triangle built 8 / |P| rows at a time,
+    meets H x = -g to rounding (H = hessian_matrix(w, p), whose condition
+    number is at most cond(W)^2 <= 100 on these draws), as one converged
+    apply."""
+    pattern, q, g = TestNewtonOperatorProperties.draw(n, fill, seed)
+    rows, cols = pattern.index_arrays()
+    assert len(rows) <= mle.DIRECT_PAIRS
+    with mock.patch.object(mle, "GATHER_ELEMS", 8), \
+            mock.patch.object(mle, "hessian_apply", side_effect=AssertionError("ran CG")):
+        x, ok, applies = proj_pcg(q, g[rows, cols], pattern)
+    assert ok and applies == 1
+    resid = hessian_matrix(spd_inverse(q), pattern) @ x + g[rows, cols]
+    assert frobenius(resid, pattern) <= 1e-10 * frobenius(g[rows, cols], pattern)
 
 
 @settings(max_examples=60, deadline=None)
@@ -654,3 +676,74 @@ def test_lattice_solves_match_tight_pcg_within_outer_tol():
             top = max(np.linalg.eigvalsh(a.q.dense)[-1], np.linalg.eigvalsh(b.q.dense)[-1])
             bound = 2.0 * top**2 * MleConfig().outer_tol * np.sqrt(nnz)
             assert np.linalg.norm(a.q.dense - b.q.dense) <= bound
+
+
+def sample_covariance(q, count, seed):
+    x = synthetic.sample_gmrf(q, None, count, seed=seed)
+    s = x.T @ x / count
+    return 0.5 * (s + s.T)
+
+
+def direct_problems():
+    """Two MLE problems in the direct regime (|P| <= DIRECT_PAIRS), as
+    (S, pattern, q0): known-support on a 10x10 diffusion grid (|P| 280), and
+    the refit of a glasso estimate (lambda 0.3, 10 Newton steps) at n = 25
+    (|P| <= 325), each from samples of a diffusion precision."""
+    grid = synthetic.diffusion_precision(synthetic.DiffusionSpec(10, 10, seed=11))
+    small = synthetic.diffusion_precision(synthetic.DiffusionSpec(5, 5, seed=13))
+    s_small = sample_covariance(small, 500, seed=14)
+    lasso = glasso.glasso_solve(s_small, glasso.GlassoConfig(lam=0.3, max_newton_iters=10)).q
+    return [(sample_covariance(grid, 300, seed=12), grid.pattern, None), (s_small, lasso.pattern, lasso)]
+
+
+def test_direct_solves_match_tight_pcg_within_outer_tol():
+    """Each direct-regime solve and its CG counterpart (DIRECT_PAIRS 0,
+    PCG_TOL 1e-8) stop with grad_max <= outer_tol, and they differ by at most
+    the bound of test_lattice_solves_match_tight_pcg_within_outer_tol,
+    2 L^2 outer_tol sqrt(nnz)."""
+    outer_tol = MleConfig().outer_tol
+    for s, pattern, q0 in direct_problems():
+        assert len(pattern.index_arrays()[0]) <= mle.DIRECT_PAIRS
+        direct = estimate_known_support(s, pattern, q0=q0)
+        with mock.patch.object(mle, "DIRECT_PAIRS", 0), mock.patch.object(mle, "PCG_TOL", 1e-8):
+            tight = estimate_known_support(s, pattern, q0=q0)
+        assert direct.pcg_iters == direct.iterations > 0
+        assert tight.pcg_iters > tight.iterations > 0
+        for res in (direct, tight):
+            assert res.converged and res.grad_max <= outer_tol
+        nnz = np.count_nonzero(pattern.mask())
+        top = max(np.linalg.eigvalsh(direct.q.dense)[-1], np.linalg.eigvalsh(tight.q.dense)[-1])
+        bound = 2.0 * top**2 * outer_tol * np.sqrt(nnz)
+        assert np.linalg.norm(direct.q.dense - tight.q.dense) <= bound
+
+
+def test_direct_step_counts_one_converged_apply():
+    """A direct Newton step counts as 1 operator apply and as converged, so
+    pcg_iters == iterations and pcg_truncated == 0 even with a CG cap of 1,
+    and no CG operator is built; g = 0 still takes no apply."""
+    s, pattern, _ = direct_problems()[0]
+    with mock.patch.object(mle, "MAX_PCG_ITERS", 1), \
+            mock.patch.object(mle, "hessian_apply", side_effect=AssertionError("ran CG")):
+        res = estimate_known_support(s, pattern)
+        rows, _ = pattern.index_arrays()
+        x, ok, applies = proj_pcg(res.q, np.zeros(len(rows)), pattern)
+    assert res.converged and res.iterations > 0
+    assert res.pcg_iters == res.iterations and res.pcg_truncated == 0
+    assert ok and applies == 0 and not np.any(x)
+
+
+def test_failed_factorization_falls_back_to_cg(monkeypatch):
+    """When dpotrf reports a failure (info > 0), the same Newton step runs CG
+    on the operator, and the solve still converges to outer_tol."""
+    s, pattern, _ = direct_problems()[0]
+    factorizations = []
+
+    def failing(a, **kwargs):
+        factorizations.append(kwargs)
+        return a, 1
+
+    monkeypatch.setattr(mle, "dpotrf", failing)
+    res = estimate_known_support(s, pattern)
+    assert res.converged and res.grad_max <= MleConfig().outer_tol
+    assert len(factorizations) == res.iterations > 0
+    assert res.pcg_iters > res.iterations and res.pcg_truncated == 0
