@@ -13,15 +13,17 @@ solves hessian_apply(W, pattern)(x) = -g, the pair values of W Delta W
 - above that: the same CG, applying a sparse product.
 The last two bounds are the rule, shared with glasso's coordinate descent,
 that picks the operator's form. An Armijo backtracking line search, which
-also guards positive-definiteness via Cholesky, follows. The graphical
-lasso (`glasso.glasso_solve`) takes its steps with the same search
-(`armijo_spd_search`) on its penalized objective.
+also guards positive-definiteness via Cholesky, follows, until the step's
+decrement -g.delta is at most FULL_STEP_DECREMENT: from there on the
+full step is taken, since the test cannot resolve such decreases. The
+graphical lasso (`glasso.glasso_solve`) takes its steps with the same
+search (`armijo_spd_search`) on its penalized objective.
 
 `MleConfig` holds the one setting callers vary, the stop tolerance
 outer_tol. The others are module constants, read at each call: the Newton
 cap MAX_OUTER_ITERS, the PCG tolerance and cap PCG_TOL and MAX_PCG_ITERS,
-the regime bounds DIRECT_PAIRS and HESSIAN_ELEMS, and the line search's
-ARMIJO_C, BACKTRACK_FACTOR and MAX_BACKTRACKS.
+the regime bounds DIRECT_PAIRS and HESSIAN_ELEMS, FULL_STEP_DECREMENT, and
+the line search's ARMIJO_C, BACKTRACK_FACTOR and MAX_BACKTRACKS.
 """
 
 from __future__ import annotations
@@ -65,6 +67,16 @@ MAX_PCG_ITERS = 200
 # took 53-107 CG applies per Newton step and gain; the 16x16 lattice patterns
 # (|P| 578-736) take about 23, and their direct solves took as long as CG
 DIRECT_PAIRS = 400
+# estimate_known_support takes a Newton step whole, without the line search,
+# once its decrement -g.delta is at most FULL_STEP_DECREMENT. For CG and direct
+# steps alike -g.delta = lambda^2 = tr(W Delta W Delta), and the objective is
+# self-concordant, so a step with lambda < 1 keeps Q SPD and lowers the
+# objective by at least lambda^2 (1/2 - lambda/3) - the Armijo test passes at
+# alpha = 1 in exact arithmetic. Near the solution that decrease falls below
+# the objective's rounding, where the test no longer sees it: a 10x10 EM
+# component (cond(Q) 4e3) stalled at grad_max 2.5e-6 with 200 steps of alpha
+# ~1e-8, its full step rejected by 2 ulp, which would have reached 5e-13.
+FULL_STEP_DECREMENT = 1e-2
 
 
 @dataclass
@@ -363,7 +375,9 @@ def estimate_known_support(
 ) -> MleResult:
     """Projected Newton estimation of Q subject to Supp(Q) within the pattern.
 
-    Only the pattern pairs are free variables. Stops when the max-abs of
+    Only the pattern pairs are free variables. A Newton step goes through
+    armijo_spd_search, or is taken whole once its decrement -g.delta is at
+    most FULL_STEP_DECREMENT. Stops when the max-abs of
     the gradient S - Q^{-1} over the pairs drops below cfg.outer_tol or
     after MAX_OUTER_ITERS Newton steps; either way the result's
     grad_max is that of the returned q.
@@ -392,10 +406,14 @@ def estimate_known_support(
         delta, pcg_converged, applies = proj_pcg(q, g, pattern)
         truncated += not pcg_converged
         pcg_iters += applies
-        _, q, f_new = armijo_spd_search(
-            q, delta, pattern, float(np.dot(weight * g, delta)), trace[-1],
-            lambda cand: neg_log_likelihood(cand, s),
-        )
+        descent = float(np.dot(weight * g, delta))
+        if 0.0 < -descent <= FULL_STEP_DECREMENT:  # not 0: the search rejects non-descent
+            q = SparseSpd._stored(q.dense + _to_dense(delta, pattern), pattern)
+            f_new = neg_log_likelihood(q, s)
+        else:
+            _, q, f_new = armijo_spd_search(
+                q, delta, pattern, descent, trace[-1], lambda cand: neg_log_likelihood(cand, s),
+            )
         trace.append(f_new)
     return MleResult(
         q=q, objective_trace=trace, converged=grad_max <= cfg.outer_tol, iterations=iters,

@@ -226,6 +226,10 @@ class ExactBaseline:
         return dense_mle(s, ridge=False)
 
 
+class Reseeded(Exception):
+    """Raised in place of a reseed, which the monotonicity argument does not cover."""
+
+
 class TestEmMonotonicity:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -275,9 +279,11 @@ class TestEmMonotonicity:
         M-step is inexact (it stops at outer_tol), but it need not be exact:
         it keeps the exact weights and means and is warm-started at the
         previous precision, on its own pattern, and each of its Newton
-        steps passes the Armijo test, so the precision's objective
-        -log det Q + tr(Q S) at the new S is at most its value at the
-        previous precision. Each M-step therefore does not lower EM's lower
+        steps passes the Armijo test or, with a decrement at most
+        mle.FULL_STEP_DECREMENT, is taken whole, which lowers a
+        self-concordant objective in exact arithmetic. So the precision's
+        objective -log det Q + tr(Q S) at the new S is at most its value at
+        the previous precision, up to rounding. Each M-step therefore does not lower EM's lower
         bound, and only rounding, the 1e-9 relative slack, can lower the
         log-likelihood. A reseed (which replaces responsibilities and warm
         starts) or a raise (a component collapsing onto too few points) is
@@ -301,10 +307,6 @@ class TestEmMonotonicity:
                 assume(False)
         trace = np.asarray(trace)
         assert np.all(trace[1:] >= trace[:-1] - 1e-9 * np.abs(trace[:-1])), trace
-
-
-class Reseeded(Exception):
-    pass
 
 
 class TestFitEm:

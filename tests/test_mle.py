@@ -747,3 +747,31 @@ def test_failed_factorization_falls_back_to_cg(monkeypatch):
     assert res.converged and res.grad_max <= MleConfig().outer_tol
     assert len(factorizations) == res.iterations > 0
     assert res.pcg_iters > res.iterations and res.pcg_truncated == 0
+
+
+def test_newton_step_is_taken_whole_once_its_decrement_is_small():
+    """Near the solution the Armijo test compares decreases below the
+    objective's rounding. Here the objective carries a relative noise of 1e-9
+    (about 7e-8 on this problem), which hides every decrease below it: the
+    solve still converges, because once -g.delta <= FULL_STEP_DECREMENT it
+    takes the full step without the test, and the line search only ever
+    sees larger decrements."""
+    s, pattern, _ = direct_problems()[0]
+    rng = np.random.default_rng(0)
+    exact = mle.neg_log_likelihood
+    descents = []
+
+    def noisy(q, s):
+        f = exact(q, s)
+        return f + 1e-9 * abs(f) * rng.uniform(-1.0, 1.0)
+
+    def searched(q, step, pattern, descent, f0, objective):
+        descents.append(descent)
+        return armijo_spd_search(q, step, pattern, descent, f0, objective)
+
+    with mock.patch.object(mle, "neg_log_likelihood", noisy), \
+            mock.patch.object(mle, "armijo_spd_search", searched):
+        res = estimate_known_support(s, pattern)
+    assert res.converged and res.grad_max <= MleConfig().outer_tol
+    assert 0 < len(descents) < res.iterations
+    assert all(-d > mle.FULL_STEP_DECREMENT for d in descents)
