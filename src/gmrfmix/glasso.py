@@ -1,11 +1,19 @@
 """Diagonal-unpenalized graphical lasso via proximal Newton, plus debiasing.
 
-The solver restricts each Newton update to the free set (current nonzeros
-plus entries whose gradient violates the l1 threshold), solves the LASSO
-subproblem by cyclic coordinate descent with exact soft-threshold updates,
-and steps along the direction with the SPD-guarded Armijo search that the
-support-constrained MLE also uses (`mle.armijo_spd_search`), applied to the
-penalized objective. As in `mle`, the direction is a vector of the free
+The solution is block-diagonal over the connected components of the graph
+{(i, j): |S_ij| > Lambda_ij} (`matrices.blocks`), so `glasso_solve` runs
+one Newton loop per component of more than one node and gives the
+isolated variables their closed form in one step. Its certificates are
+those of the assembled estimate, `iterations` is the largest block's
+count, `objective_trace` the blocks' traces summed step by step, and
+`sweeps` the blocks' sum.
+
+Within a block, the solver restricts each Newton update to the free set
+(current nonzeros plus entries whose gradient violates the l1 threshold),
+solves the LASSO subproblem by cyclic coordinate descent with exact
+soft-threshold updates, and steps along the direction with the SPD-guarded
+Armijo search that the support-constrained MLE also uses
+(`mle.armijo_spd_search`), applied to the penalized objective. As in `mle`, the direction is a vector of the free
 set's pair values (`SupportPattern.index_arrays` order); its descent is its
 `mle.pair_weights` inner product with the gradient plus the l1 change.
 
@@ -24,7 +32,8 @@ The optimality conditions are stated once, in `stationarity_gap`: the stop
 test, the `kkt_residual`, the free set and `bias_report` all read it.
 
 Debiasing keeps only the support of the lasso estimate and re-solves the
-support-constrained MLE, warm-started at the lasso iterate (`refit`).
+support-constrained MLE, warm-started at the lasso iterate (`refit`); that
+solve splits over the components of the lasso support in the same way.
 
 `GlassoConfig` holds the settings callers vary: lam, penalize_diagonal,
 newton_tol and max_newton_iters. The coordinate descent's sweep cap and
@@ -39,10 +48,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mle
-from .matrices import SparseSpd, SupportPattern, check_symmetric, spd_inverse
+from .matrices import SparseSpd, SupportPattern, blocks, check_symmetric, spd_inverse
 from .mle import (
     MleConfig,
     MleResult,
+    _floored_diagonal,
+    _restrict,
+    _summed_trace,
     armijo_spd_search,
     default_q0,
     estimate_known_support,
@@ -215,29 +227,80 @@ def _product_sweeps(w: np.ndarray, rows: list, cols: list, coords: list) -> tupl
     return np.array(steps), sweeps
 
 
-def _prune(q: np.ndarray) -> SparseSpd:
-    kept = np.abs(q) > PRUNE_EPS
+def _prune(q: SparseSpd) -> SparseSpd:
+    """q with its off-diagonal entries of at most PRUNE_EPS set to 0 and dropped
+    from the pattern; q itself when that drops nothing."""
+    kept = np.abs(q.dense) > PRUNE_EPS
     np.fill_diagonal(kept, True)
-    return SparseSpd._stored(np.where(kept, q, 0.0), SupportPattern.from_mask(kept))
+    if np.array_equal(kept, q.pattern.mask()):
+        return q
+    return SparseSpd._stored(np.where(kept, q.dense, 0.0), SupportPattern.from_mask(kept))
 
 
 def glasso_solve(
     s: np.ndarray, cfg: GlassoConfig, q0: SparseSpd | None = None
 ) -> GlassoResult:
-    """Proximal-Newton graphical lasso.
+    """Proximal-Newton graphical lasso, one connected component at a time.
+
+    The solution is block-diagonal over the connected components of
+    {(i, j): |S_ij| > Lambda_ij}, Lambda the penalty of `_penalized`
+    (Mazumder & Hastie, JMLR 2012; Witten, Friedman & Simon, JCGS 2011), so
+    each component of more than one node (`matrices.blocks`) runs its own
+    Newton loop on its submatrix of S, started from its slice of q0 or of
+    `default_q0`; all isolated variables together start at the closed form
+    1 / (s_ii + Lambda_ii) (floored as in `default_q0`), where their
+    stationarity gap is 0 unless the floor binds. The estimate is
+    assembled block-diagonally, with no n x n factorization
+    (`SparseSpd._block_diagonal`), and entries across components are
+    exactly 0. One component is solved as a whole.
 
     Each Newton step computes `stationarity_gap` once: converged when its max
-    drops below newton_tol, and otherwise it gives the free set. The result
-    pattern has numerically-zero entries pruned (diagonal always kept), and
-    its kkt_residual is that of the pruned estimate, converged or not.
+    drops below newton_tol, and otherwise it gives the free set. Each
+    block's estimate has numerically-zero entries pruned (diagonal always
+    kept). The result's kkt_residual is that of the assembled estimate,
+    converged or not; converged means every block converged; iterations
+    is the largest block count, objective_trace the blocks' traces summed
+    step by step (each padded with its last value, so iterations ==
+    len(objective_trace) - 1), and sweeps the blocks' sum.
     """
     s = check_symmetric(s)
-    q = q0 if q0 is not None else default_q0(s, SupportPattern.diagonal(s.shape[0]))
+    n = s.shape[0]
+    lam = cfg.lam * _penalized(n, cfg)
+    components, isolated = blocks(n, *np.nonzero(np.triu(np.abs(s) > lam, 1)))
+    floored = _floored_diagonal(s) if q0 is None or len(isolated) else None
+
+    def start(nodes: np.ndarray) -> SparseSpd:
+        if len(nodes) == n:  # one component: the whole problem
+            return q0 if q0 is not None else default_q0(s, SupportPattern.diagonal(n))
+        if q0 is None:
+            return SparseSpd._stored(np.diag(1.0 / floored[nodes]), SupportPattern.diagonal(len(nodes)))
+        part = SupportPattern.from_mask(_restrict(q0.pattern.mask(), nodes))
+        return SparseSpd._stored(_restrict(q0.dense, nodes), part)
+
+    parts = [(nodes, start(nodes)) for nodes in components]
+    if len(isolated):
+        parts.append((isolated, SparseSpd._diagonal(floored[isolated] + np.diag(lam)[isolated])))
+    solved = [(nodes, _newton_steps(_restrict(s, nodes), q, cfg)) for nodes, q in parts]
+    q = SparseSpd._block_diagonal(n, [(nodes, out[0]) for nodes, out in solved])
+    trace = _summed_trace([out[1] for _, out in solved])
+    return GlassoResult(
+        q=q,
+        objective_trace=trace,
+        kkt_residual=kkt_residual(q.dense, spd_inverse(q), s, cfg),
+        converged=all(out[2] for _, out in solved),
+        iterations=len(trace) - 1,
+        sweeps=sum(out[3] for _, out in solved),
+    )
+
+
+def _newton_steps(s: np.ndarray, q: SparseSpd, cfg: GlassoConfig) -> tuple:
+    """Proximal-Newton steps from q: returns (pruned q, objective trace,
+    converged, coordinate-descent sweeps)."""
     penalized = _penalized(s.shape[0], cfg)
     trace = [glasso_objective(q, s, cfg)]
     converged = False
-    iters = sweeps = 0
-    for t in range(cfg.max_newton_iters):
+    sweeps = 0
+    for _ in range(cfg.max_newton_iters):
         w = spd_inverse(q)
         gap = stationarity_gap(q.dense, w, s, cfg)
         if np.max(gap) <= cfg.newton_tol:
@@ -261,17 +324,7 @@ def glasso_solve(
             lambda cand: glasso_objective(cand, s, cfg),
         )
         trace.append(f_new)
-        iters = t + 1
-
-    result_q = _prune(q.dense)
-    return GlassoResult(
-        q=result_q,
-        objective_trace=trace,
-        kkt_residual=kkt_residual(result_q.dense, spd_inverse(result_q), s, cfg),
-        converged=converged,
-        iterations=iters,
-        sweeps=sweeps,
-    )
+    return _prune(q), trace, converged, sweeps
 
 
 def refit(s: np.ndarray, q_lasso: SparseSpd, mle_cfg: MleConfig | None = None) -> MleResult:

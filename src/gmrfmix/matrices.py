@@ -6,7 +6,8 @@ library caller passes in: square, finite, then symmetric. Everything here
 is immutable after construction and safe to share across workers: a
 SupportPattern holds two read-only views and sets nothing later. The one
 exception is a SparseSpd's dense inverse, which `spd_inverse` fills once,
-on first use.
+on first use, unless the matrix was assembled with it (`_diagonal`,
+`_block_diagonal`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import uuid
 import warnings
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NotSpd
 
@@ -144,6 +147,9 @@ class SupportPattern:
 class SparseSpd:
     """Symmetric positive-definite matrix stored on a SupportPattern.
 
+    The constructor checks the matrix (`check_symmetric`) and keeps its
+    upper triangle mirrored, so the stored matrix is exactly symmetric even
+    when the one given was only symmetric within rounding.
     The lower Cholesky factor L (Q = L L^T) and the log-determinant are
     computed once at construction; `quad_form` reuses L, so it costs one
     product with the n x n factor, O(n^2), per data point. The dense
@@ -160,17 +166,24 @@ class SparseSpd:
         off = matrix[~pattern.mask()]
         if off.size and np.any(off != 0.0):
             raise DimensionMismatch("matrix has nonzeros outside the pattern")
-        self._store(matrix.copy(), pattern)
+        # the upper triangle, which values() and to_json read, mirrored: exactly symmetric
+        self._store(np.triu(matrix) + np.triu(matrix, 1).T, pattern)
 
-    def _store(self, matrix: np.ndarray, pattern: SupportPattern) -> None:
-        """Keep the matrix (not copied; made read-only) and its Cholesky factor."""
+    def _store(
+        self, matrix: np.ndarray, pattern: SupportPattern,
+        chol: np.ndarray | None = None, inverse: np.ndarray | None = None,
+    ) -> None:
+        """Keep the matrix (not copied; made read-only) and its Cholesky factor,
+        factoring it unless chol is given; an inverse given is kept for spd_inverse."""
         matrix.setflags(write=False)
         self.pattern = pattern
         self.n = pattern.n
         self._dense = matrix
-        self.chol = cholesky(matrix)
+        self.chol = cholesky(matrix) if chol is None else chol
         self.log_det = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-        self._inverse = None  # filled by spd_inverse
+        if inverse is not None:
+            inverse.setflags(write=False)
+        self._inverse = inverse  # else filled by spd_inverse
 
     @classmethod
     def _stored(cls, matrix: np.ndarray, pattern: SupportPattern) -> "SparseSpd":
@@ -178,6 +191,38 @@ class SparseSpd:
         checks are skipped, the Cholesky factorization (NotSpd) is not."""
         q = cls.__new__(cls)
         q._store(matrix, pattern)
+        return q
+
+    @classmethod
+    def _diagonal(cls, w: np.ndarray) -> "SparseSpd":
+        """diag(1 / w) for a positive vector w, whose inverse is kept as diag(w) exactly."""
+        q = cls.__new__(cls)
+        q._store(np.diag(1.0 / w), SupportPattern.diagonal(len(w)),
+                 chol=np.diag(np.sqrt(1.0 / w)), inverse=np.diag(w))
+        return q
+
+    @classmethod
+    def _block_diagonal(cls, n: int, parts: list, pattern: SupportPattern | None = None) -> "SparseSpd":
+        """The n x n matrix holding each part (nodes, q) on its nodes and zeros across parts.
+
+        The parts' node sets are ascending and partition range(n). The
+        matrix, its Cholesky factor and its inverse are scatters of the
+        parts' own: with no fill across parts, each is exact, and nothing is
+        factored or inverted at size n. The pattern is the union of the
+        parts' nonzeros, or the one given. One part is returned as it is.
+        """
+        if len(parts) == 1:
+            return parts[0][1]
+        matrix, chol, inverse = (np.zeros((n, n)) for _ in range(3))
+        for nodes, part in parts:
+            ix = np.ix_(nodes, nodes)
+            matrix[ix] = part.dense
+            chol[ix] = part.chol
+            inverse[ix] = spd_inverse(part)
+        q = cls.__new__(cls)
+        if pattern is None:
+            pattern = SupportPattern.from_mask(matrix != 0.0)
+        q._store(matrix, pattern, chol, inverse)
         return q
 
     @property
@@ -268,6 +313,19 @@ def _read_triplets(obj) -> tuple[int, np.ndarray, np.ndarray]:
             " each unordered pair may appear once"
         )
     return n, ij.astype(np.intp), trips[:, 2]
+
+
+def blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The connected components of the graph on n nodes with edges (rows[k], cols[k]).
+
+    Returns the components of more than one node, in order of their
+    smallest node, and the isolated nodes as one array; all ascending.
+    """
+    graph = scipy.sparse.coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels)
+    nodes = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    return [b for b in nodes if len(b) > 1], np.flatnonzero(sizes[labels] == 1)
 
 
 def spd_inverse(q: SparseSpd) -> np.ndarray:

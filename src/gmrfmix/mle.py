@@ -1,10 +1,18 @@
 """Support-constrained maximum-likelihood estimation of a precision matrix.
 
 The estimator minimizes -log det Q + tr(Q S) over SPD matrices whose
-support is restricted to a given pattern. The gradient S - W (W = Q^{-1}),
-the Newton direction and the line-search step are each a vector of the |P|
-pattern pair values (`SupportPattern.index_arrays` order). The direction
-solves hessian_apply(W, pattern)(x) = -g, the pair values of W Delta W
+support is restricted to a given pattern. The problem separates over the
+pattern's connected components (`matrices.blocks`): each component of more
+than one node runs its own Newton loop, the isolated variables take their
+closed form, and the estimate is assembled block-diagonally with no n x n
+factorization. Its grad_max is that of the assembled estimate; iterations
+is the largest block's count, objective_trace the blocks' traces summed
+step by step, and pcg_iters and pcg_truncated the blocks' sums.
+
+Within a block, the gradient S - W (W = Q^{-1}), the Newton direction and
+the line-search step are each a vector of the |P| pattern pair values
+(`SupportPattern.index_arrays` order). The direction solves
+hessian_apply(W, pattern)(x) = -g, the pair values of W Delta W
 (`proj_pcg`), in one of three regimes by the pattern's size:
 - |P| <= DIRECT_PAIRS: one Cholesky factorization of the explicit
   |P| x |P| matrix gives the exact step;
@@ -35,7 +43,7 @@ import scipy.sparse
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionMismatch, LineSearchFailed, SingularCovariance, NotSpd
-from .matrices import SparseSpd, SupportPattern, check_symmetric, spd_inverse
+from .matrices import SparseSpd, SupportPattern, blocks, check_symmetric, spd_inverse
 
 RIDGE_EPS = 1e-6
 # the settings of armijo_spd_search, shared by both Newton solvers
@@ -357,14 +365,31 @@ def armijo_spd_search(
     raise LineSearchFailed(f"no acceptable step within {MAX_BACKTRACKS} backtracks")
 
 
-def default_q0(s: np.ndarray, pattern: SupportPattern) -> SparseSpd:
-    """Diagonal starting point q_ii = 1 / max(s_ii, RIDGE_EPS * mean(diag S)),
-    or SingularCovariance if that floor is too small to invert (S = 0, say)."""
+def _floored_diagonal(s: np.ndarray) -> np.ndarray:
+    """max(s_ii, RIDGE_EPS * mean(diag S)) per variable, or SingularCovariance if
+    that floor is too small to invert (S = 0, say)."""
     d = np.diag(s)
     floor = RIDGE_EPS * float(np.mean(d))
     if not floor >= np.finfo(float).tiny:  # also NaN
         raise SingularCovariance("covariance diagonal is zero or too small to invert")
-    return SparseSpd._stored(np.diag(1.0 / np.maximum(d, floor)), pattern)
+    return np.maximum(d, floor)
+
+
+def default_q0(s: np.ndarray, pattern: SupportPattern) -> SparseSpd:
+    """Diagonal starting point q_ii = 1 / max(s_ii, RIDGE_EPS * mean(diag S)),
+    or SingularCovariance if that floor is too small to invert (S = 0, say)."""
+    return SparseSpd._stored(np.diag(1.0 / _floored_diagonal(s)), pattern)
+
+
+def _restrict(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The principal submatrix of m on the nodes; m itself when they are all of its rows."""
+    return m if len(nodes) == len(m) else m[np.ix_(nodes, nodes)]
+
+
+def _summed_trace(traces: list[list[float]]) -> list[float]:
+    """Per step, the sum of the blocks' objective traces, each padded with its last value."""
+    steps = max(map(len, traces))
+    return np.sum([t + t[-1:] * (steps - len(t)) for t in traces], axis=0).tolist()
 
 
 def estimate_known_support(
@@ -375,24 +400,65 @@ def estimate_known_support(
 ) -> MleResult:
     """Projected Newton estimation of Q subject to Supp(Q) within the pattern.
 
-    Only the pattern pairs are free variables. A Newton step goes through
-    armijo_spd_search, or is taken whole once its decrement -g.delta is at
-    most FULL_STEP_DECREMENT. Stops when the max-abs of
-    the gradient S - Q^{-1} over the pairs drops below cfg.outer_tol or
-    after MAX_OUTER_ITERS Newton steps; either way the result's
-    grad_max is that of the returned q.
+    Only the pattern pairs are free variables. The problem separates over
+    the connected components of the pattern (`matrices.blocks`): each
+    component of more than one node runs its own Newton loop on its
+    submatrix of S, started from its slice of q0 or of `default_q0`, and
+    all isolated variables together start at the closed form 1 / s_ii
+    (floored as in `default_q0`), where their gradient is 0 unless the
+    floor binds. The estimate is assembled block-diagonally, with no n x n
+    factorization (`SparseSpd._block_diagonal`). One component is solved
+    as a whole.
+
+    A Newton step goes through armijo_spd_search, or is taken whole once
+    its decrement -g.delta is at most FULL_STEP_DECREMENT. A block stops
+    when the max-abs of the gradient S - Q^{-1} over its pairs drops below
+    cfg.outer_tol or after MAX_OUTER_ITERS Newton steps. The result's
+    grad_max is that of the assembled q over the whole pattern; iterations
+    is the largest block count, objective_trace the blocks' traces summed
+    step by step (each padded with its last value, so iterations ==
+    len(objective_trace) - 1), and pcg_truncated and pcg_iters the blocks'
+    sums.
     """
     s = check_symmetric(s)
     cfg = cfg or MleConfig()
     if s.shape[0] != pattern.n:
         raise DimensionMismatch("covariance dimension differs from pattern")
-    if q0 is None:
-        q = default_q0(s, pattern)
-    else:
-        if not q0.pattern.issubset(pattern):
-            raise DimensionMismatch("q0 support is not contained in the pattern")
-        q = SparseSpd._stored(q0.dense, pattern) if q0.pattern != pattern else q0
+    if q0 is not None and not q0.pattern.issubset(pattern):
+        raise DimensionMismatch("q0 support is not contained in the pattern")
+    rows, cols = pattern.index_arrays()
+    components, isolated = blocks(pattern.n, rows, cols)
+    floored = _floored_diagonal(s) if q0 is None or len(isolated) else None
 
+    def start(nodes: np.ndarray) -> SparseSpd:
+        if len(nodes) == pattern.n:  # one component: the whole problem
+            if q0 is None:
+                return default_q0(s, pattern)
+            return SparseSpd._stored(q0.dense, pattern) if q0.pattern != pattern else q0
+        part = SupportPattern.from_mask(_restrict(pattern.mask(), nodes))
+        dense = np.diag(1.0 / floored[nodes]) if q0 is None else _restrict(q0.dense, nodes)
+        return SparseSpd._stored(dense, part)
+
+    parts = [(nodes, start(nodes)) for nodes in components]
+    if len(isolated):
+        parts.append((isolated, SparseSpd._diagonal(floored[isolated])))
+    solved = [(nodes, _newton_steps(_restrict(s, nodes), q, cfg)) for nodes, q in parts]
+    q = SparseSpd._block_diagonal(pattern.n, [(nodes, out[0]) for nodes, out in solved], pattern)
+    grad_max = float(np.max(np.abs(s[rows, cols] - spd_inverse(q)[rows, cols])))
+    trace = _summed_trace([out[1] for _, out in solved])
+    return MleResult(
+        q=q, objective_trace=trace, converged=grad_max <= cfg.outer_tol,
+        iterations=len(trace) - 1, grad_max=grad_max,
+        pcg_truncated=sum(out[2] for _, out in solved),
+        pcg_iters=sum(out[3] for _, out in solved),
+    )
+
+
+def _newton_steps(s: np.ndarray, q: SparseSpd, cfg: MleConfig) -> tuple:
+    """Newton steps from q on its pattern until the max-abs gradient over the
+    pattern pairs is at most cfg.outer_tol or MAX_OUTER_ITERS steps were
+    taken: returns (q, objective trace, truncated PCG solves, operator applies)."""
+    pattern = q.pattern
     rows, cols = pattern.index_arrays()
     s_pairs = s[rows, cols]
     weight = pair_weights(pattern)
@@ -400,8 +466,7 @@ def estimate_known_support(
     truncated = pcg_iters = 0
     for iters in range(MAX_OUTER_ITERS + 1):
         g = s_pairs - spd_inverse(q)[rows, cols]
-        grad_max = float(np.max(np.abs(g)))
-        if grad_max <= cfg.outer_tol or iters == MAX_OUTER_ITERS:
+        if float(np.max(np.abs(g))) <= cfg.outer_tol or iters == MAX_OUTER_ITERS:
             break
         delta, pcg_converged, applies = proj_pcg(q, g, pattern)
         truncated += not pcg_converged
@@ -415,7 +480,4 @@ def estimate_known_support(
                 q, delta, pattern, descent, trace[-1], lambda cand: neg_log_likelihood(cand, s),
             )
         trace.append(f_new)
-    return MleResult(
-        q=q, objective_trace=trace, converged=grad_max <= cfg.outer_tol, iterations=iters,
-        grad_max=grad_max, pcg_truncated=truncated, pcg_iters=pcg_iters,
-    )
+    return q, trace, truncated, pcg_iters

@@ -400,3 +400,115 @@ def test_config_rejects_lambda_that_is_not_finite_and_non_negative(lam):
 def test_config_rejects_tolerance_that_is_not_positive(field, tol):
     with pytest.raises(ValueError, match="tolerances must be positive"):
         GlassoConfig(**{field: tol})
+
+
+def one_block(n, rows, cols):
+    """`matrices.blocks` as if the graph were connected: the unsplit solve."""
+    return [np.arange(n)], np.arange(0)
+
+
+class TestBlockSplit:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        st.floats(0.05, 0.3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_split_solve_matches_the_unsplit_one(self, sizes, lam, warm, seed):
+        """On a permuted block-diagonal SPD covariance whose cross-block entries
+        satisfy |S_ij| <= lam, the split solve finds the unsplit solve's
+        pattern, certifies its assembled estimate and holds exact zeros across
+        the blocks, also from a dense warm start."""
+        rng = np.random.default_rng(seed)
+        label = np.repeat(np.arange(len(sizes)), sizes)
+        n = len(label)
+        s = np.zeros((n, n))
+        for b, size in enumerate(sizes):
+            a = rng.standard_normal((3 * size, size))
+            s[np.ix_(label == b, label == b)] = a.T @ a / (3 * size)
+        cross = label[:, None] != label[None, :]
+        c = np.triu(rng.uniform(-lam, lam, (n, n)), 1)
+        s += np.where(cross, c + c.T, 0.0)
+        s += (max(0.0, -np.linalg.eigvalsh(s)[0]) + 0.1) * np.eye(n)
+        perm = rng.permutation(n)
+        s, cross = s[np.ix_(perm, perm)], cross[np.ix_(perm, perm)]
+        q0 = SparseSpd(np.linalg.inv(s), SupportPattern.full(n)) if warm else None
+        cfg = GlassoConfig(lam=lam)
+        split = glasso_solve(s, cfg, q0=q0)
+        with mock.patch.object(glasso, "blocks", one_block):
+            whole = glasso_solve(s, cfg, q0=q0)
+        assert split.converged and whole.converged
+        assert split.q.pattern == whole.q.pattern
+        assert split.kkt_residual <= cfg.newton_tol
+        assert np.all(split.q.dense[cross] == 0.0)
+        assert split.iterations == len(split.objective_trace) - 1
+
+    def test_unsplit_solve_from_a_warm_start_symmetric_within_rounding(self):
+        """np.linalg.inv(S) is symmetric only within rounding. Stored as given,
+        its lower-triangle residue of a zeroed pair stayed nonzero for all 100
+        Newton steps; SparseSpd now stores it exactly symmetric."""
+        s = np.array([[0.24289889855217744, 0.08606121036899939],
+                      [0.08606121036899939, 0.24780031820073511]])
+        inv = np.linalg.inv(s)
+        assert inv[0, 1] != inv[1, 0]
+        cfg = GlassoConfig(lam=0.1875)
+        with mock.patch.object(glasso, "blocks", one_block):
+            res = glasso_solve(s, cfg, q0=SparseSpd(inv))
+        assert res.converged and res.iterations < 10 and res.kkt_residual <= cfg.newton_tol
+
+    def test_lambda_at_the_largest_covariance_gives_the_diagonal_in_no_step(self):
+        """The top of a lambda-sweep grid: every variable is isolated and takes
+        its closed form, so no Newton step runs and the KKT residual is 0."""
+        s = random_cov(6, np.random.default_rng(16))
+        lam = float(np.max(np.abs(s - np.diag(np.diag(s)))))
+        res = glasso_solve(s, GlassoConfig(lam=lam))
+        assert res.converged and res.iterations == 0 and len(res.objective_trace) == 1
+        assert res.kkt_residual == 0.0 and res.sweeps == 0
+        assert res.q.pattern == SupportPattern.diagonal(6)
+        np.testing.assert_allclose(res.q.dense, np.diag(1.0 / np.diag(s)), rtol=1e-15)
+        assert res.objective_trace[0] == pytest.approx(glasso_objective(res.q, s, GlassoConfig(lam=lam)))
+
+    def test_isolated_variables_in_the_penalized_diagonal_variant(self):
+        """With the diagonal penalized, an isolated variable's closed form is 1 / (s_ii + lam)."""
+        s = random_cov(5, np.random.default_rng(17))
+        cfg = GlassoConfig(lam=float(np.max(np.abs(s - np.diag(np.diag(s))))), penalize_diagonal=True)
+        res = glasso_solve(s, cfg)
+        assert res.converged and res.iterations == 0
+        assert res.kkt_residual <= 1e-14
+        np.testing.assert_allclose(res.q.dense, np.diag(1.0 / (np.diag(s) + cfg.lam)), rtol=1e-15)
+
+    def test_zero_variance_variable_keeps_its_floored_value(self):
+        """A variable with s_ii = 0 is isolated; it keeps the finite starting
+        value 1 / (RIDGE_EPS mean(diag S)), whose gap is that floor."""
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((30, 5))
+        s = a.T @ a / 30
+        s[2, :] = s[:, 2] = 0.0
+        cfg = GlassoConfig(lam=0.1)
+        res = glasso_solve(s, cfg)
+        floor = mle.RIDGE_EPS * np.mean(np.diag(s))
+        assert res.q.dense[2, 2] == 1.0 / floor
+        assert res.converged and res.kkt_residual <= cfg.newton_tol
+        assert not np.any(res.q.dense[2, np.arange(5) != 2])
+
+    def test_blocks_share_the_whole_covariance_floor_and_warm_start(self, monkeypatch):
+        """Each block starts from its slice of q0, or of default_q0 of the whole S."""
+        s = np.zeros((4, 4))
+        s[np.ix_([0, 2], [0, 2])] = [[1.0, 0.5], [0.5, 1.0]]
+        s[np.ix_([1, 3], [1, 3])] = [[100.0, 40.0], [40.0, 100.0]]
+        starts = []
+
+        def recorded(s_block, q, cfg):
+            starts.append(q.dense.copy())
+            return steps(s_block, q, cfg)
+
+        steps = glasso._newton_steps
+        monkeypatch.setattr(glasso, "_newton_steps", recorded)
+        glasso_solve(s, GlassoConfig(lam=0.1))
+        assert [np.diag(q).tolist() for q in starts] == [[1.0, 1.0], [0.01, 0.01]]
+        starts.clear()
+        warm = SparseSpd(np.linalg.inv(s + np.ones((4, 4))), SupportPattern.full(4))
+        glasso_solve(s, GlassoConfig(lam=0.1), q0=warm)
+        assert np.array_equal(starts[0], warm.dense[np.ix_([0, 2], [0, 2])])
+        assert np.array_equal(starts[1], warm.dense[np.ix_([1, 3], [1, 3])])

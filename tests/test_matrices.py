@@ -11,6 +11,7 @@ from gmrfmix.errors import DimensionMismatch, NotSpd
 from gmrfmix.matrices import (
     SparseSpd,
     SupportPattern,
+    blocks,
     cholesky,
     eigenvalues_sym,
     load_dense_csv,
@@ -403,3 +404,64 @@ def test_atomic_write_into_missing_directory_names_the_target(tmp_path):
         write_atomic_text(str(path), "text")
     assert info.value.filename == str(path)
     assert ".tmp" not in str(info.value)
+
+
+class TestBlocks:
+    def test_components_then_isolated_nodes(self):
+        rows, cols = np.array([5, 0, 2, 6, 2]), np.array([7, 3, 2, 7, 2])
+        comps, isolated = blocks(9, rows, cols)
+        assert [c.tolist() for c in comps] == [[0, 3], [5, 6, 7]]
+        assert isolated.tolist() == [1, 2, 4, 8]  # a self-loop leaves a node isolated
+
+    def test_no_edges_and_one_component(self):
+        comps, isolated = blocks(4, np.arange(0), np.arange(0))
+        assert comps == [] and isolated.tolist() == [0, 1, 2, 3]
+        comps, isolated = blocks(3, np.array([0, 1]), np.array([1, 2]))
+        assert [c.tolist() for c in comps] == [[0, 1, 2]] and isolated.size == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(masks())
+    def test_components_partition_the_nodes_with_no_edge_between(self, m):
+        pattern = SupportPattern.from_mask(m)
+        comps, isolated = blocks(pattern.n, *pattern.index_arrays())
+        label = np.full(pattern.n, -1)
+        for k, nodes in enumerate(comps + [isolated]):
+            assert np.all(np.diff(nodes) > 0) and np.all(label[nodes] == -1)
+            label[nodes] = k
+        assert np.all(label >= 0)
+        mask = pattern.mask()
+        assert not np.any(mask & (label[:, None] != label[None, :]))
+        assert not np.any((mask.sum(axis=1) > 1)[isolated])
+
+
+class TestBlockDiagonal:
+    def test_scatters_the_parts_exactly(self):
+        rng = np.random.default_rng(5)
+        a, b = random_spd(3, rng), random_spd(2, rng)
+        parts = [(np.array([0, 2, 5]), SparseSpd(a)), (np.array([1, 4]), SparseSpd(b)),
+                 (np.array([3]), SparseSpd._diagonal(np.array([4.0])))]
+        q = SparseSpd._block_diagonal(6, parts)
+        dense = np.zeros((6, 6))
+        for nodes, part in parts:
+            dense[np.ix_(nodes, nodes)] = part.dense
+        assert np.array_equal(q.dense, dense)
+        assert q.pattern == SupportPattern.from_mask(dense != 0.0)
+        assert np.array_equal(np.triu(q.chol, 1), np.zeros((6, 6)))
+        np.testing.assert_allclose(q.chol @ q.chol.T, dense, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(spd_inverse(q) @ dense, np.eye(6), rtol=0.0, atol=1e-12)
+        assert q.log_det == pytest.approx(np.linalg.slogdet(dense)[1], rel=1e-13)
+        assert spd_inverse(q)[3, 3] == 4.0 and q.dense[3, 3] == 0.25
+
+    def test_one_part_is_returned_as_it_is(self):
+        q = SparseSpd(random_spd(3, np.random.default_rng(6)))
+        assert SparseSpd._block_diagonal(3, [(np.arange(3), q)]) is q
+
+
+def test_constructor_stores_an_exactly_symmetric_matrix():
+    """A matrix symmetric only within rounding, such as np.linalg.inv's, is
+    stored with its upper triangle mirrored."""
+    m = np.linalg.inv(random_spd(7, np.random.default_rng(7)))
+    assert not np.array_equal(m, m.T)
+    q = SparseSpd(m)
+    assert np.array_equal(q.dense, q.dense.T)
+    assert np.array_equal(np.triu(q.dense), np.triu(m))

@@ -584,6 +584,33 @@ class TestEstimateKnownSupport:
             with pytest.raises(SingularCovariance, match="too small to invert"):
                 glasso.glasso_solve(s, glasso.GlassoConfig(lam=0.3))
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_zero_covariance_is_singular_covariance_when_every_variable_is_isolated(self, warm):
+        """S = 0 with a diagonal pattern, or a glasso at any lambda, makes every
+        variable isolated: its closed form 1 / s_ii needs the same floor."""
+        s = np.zeros((3, 3))
+        q0 = SparseSpd(np.eye(3)) if warm else None
+        with np.errstate(all="raise"):
+            with pytest.raises(SingularCovariance, match="too small to invert"):
+                estimate_known_support(s, SupportPattern.diagonal(3), q0=q0)
+            with pytest.raises(SingularCovariance, match="too small to invert"):
+                glasso.glasso_solve(s, glasso.GlassoConfig(lam=0.3), q0=q0)
+
+    def test_zero_variance_variable_keeps_its_floored_value(self):
+        """An isolated variable with s_ii = 0 keeps its finite starting value
+        1 / (RIDGE_EPS mean(diag S)), cold or warm-started."""
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((30, 5))
+        s = a.T @ a / 30
+        s[2, :] = s[:, 2] = 0.0
+        mask = np.ones((5, 5), dtype=bool)
+        mask[2, :] = mask[:, 2] = False
+        pattern = SupportPattern.from_mask(mask)
+        for q0 in (None, SparseSpd(np.eye(5), pattern)):
+            res = estimate_known_support(s, pattern, q0=q0)
+            assert res.q.dense[2, 2] == 1.0 / (mle.RIDGE_EPS * np.mean(np.diag(s)))
+            assert res.converged and res.grad_max <= MleConfig().outer_tol
+
     def test_default_q0_is_inverse_diagonal(self):
         s = np.array([[2.0, 0.1], [0.1, 5.0]])
         q0 = default_q0(s, SupportPattern.diagonal(2))
@@ -775,3 +802,43 @@ def test_newton_step_is_taken_whole_once_its_decrement_is_small():
     assert res.converged and res.grad_max <= MleConfig().outer_tol
     assert 0 < len(descents) < res.iterations
     assert all(-d > mle.FULL_STEP_DECREMENT for d in descents)
+
+
+def test_disconnected_pattern_is_solved_block_by_block():
+    """A pattern of two components and two isolated variables (n = 9): the
+    assembled estimate is certified over the whole pattern, its counters
+    add up, and each block's values match a solve of that block alone."""
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal((40, 9))
+    s = a.T @ a / 40
+    comps = [[0, 3, 5], [1, 2, 7, 8]]
+    pattern = SupportPattern(9, [(0, 3), (3, 5), (1, 2), (2, 7), (7, 8), (8, 1), (1, 7)])
+    cfg = MleConfig()
+    res = estimate_known_support(s, pattern)
+    rows, cols = pattern.index_arrays()
+    assert res.grad_max == np.max(np.abs((s - spd_inverse(res.q))[rows, cols])) <= cfg.outer_tol
+    assert res.converged and res.iterations == len(res.objective_trace) - 1 > 0
+    assert res.q.pattern == pattern
+    np.testing.assert_allclose(res.q.chol @ res.q.chol.T, res.q.dense, rtol=0.0, atol=1e-12)
+    assert res.q.log_det == pytest.approx(np.linalg.slogdet(res.q.dense)[1], rel=1e-12)
+    alone = []
+    for nodes in comps + [[4], [6]]:
+        ix = np.ix_(nodes, nodes)
+        one = estimate_known_support(s[ix], SupportPattern.from_mask(pattern.mask()[ix]))
+        np.testing.assert_allclose(res.q.dense[ix], one.q.dense, rtol=0.0, atol=cfg.outer_tol)
+        alone.append(one)
+    assert res.iterations == max(one.iterations for one in alone)
+    assert res.pcg_iters == sum(one.pcg_iters for one in alone)
+    assert res.objective_trace[-1] == pytest.approx(
+        sum(one.objective_trace[-1] for one in alone), rel=1e-12
+    )
+    assert res.q.dense[4, 4] == 1.0 / s[4, 4] and res.q.dense[6, 6] == 1.0 / s[6, 6]
+
+
+def test_isolated_variables_take_the_closed_form_from_any_warm_start():
+    """A diagonal pattern: the estimate is 1 / s_ii in no Newton step, and its gradient is exactly 0."""
+    s = np.diag([0.5, 2.0, 4.0])
+    q0 = SparseSpd(np.diag([1.0, 1.0, 1.0]))
+    res = estimate_known_support(s, SupportPattern.diagonal(3), q0=q0)
+    assert res.iterations == 0 and res.grad_max == 0.0 and res.converged
+    assert np.array_equal(res.q.dense, np.diag([2.0, 0.5, 0.25]))
