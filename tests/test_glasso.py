@@ -492,23 +492,26 @@ class TestBlockSplit:
         assert res.converged and res.kkt_residual <= cfg.newton_tol
         assert not np.any(res.q.dense[2, np.arange(5) != 2])
 
-    def test_blocks_share_the_whole_covariance_floor_and_warm_start(self, monkeypatch):
-        """Each block starts from its slice of q0, or of default_q0 of the whole S."""
+    def test_blocks_start_from_slices_of_the_whole_start(self, monkeypatch):
+        """Each block starts from its slice of q0, or of default_q0 of the whole
+        S: block {0, 2} has variances under the whole S's ridge floor
+        (RIDGE_EPS * mean(diag S), about 5e-4), though not its own."""
         s = np.zeros((4, 4))
-        s[np.ix_([0, 2], [0, 2])] = [[1.0, 0.5], [0.5, 1.0]]
-        s[np.ix_([1, 3], [1, 3])] = [[100.0, 40.0], [40.0, 100.0]]
+        s[np.ix_([0, 2], [0, 2])] = [[1e-7, 5e-8], [5e-8, 1e-7]]
+        s[np.ix_([1, 3], [1, 3])] = [[1e3, 4e2], [4e2, 1e3]]
         starts = []
 
         def recorded(s_block, q, cfg):
-            starts.append(q.dense.copy())
-            return steps(s_block, q, cfg)
+            starts.append(q.dense)
+            return q, [0.0], True, 0
 
-        steps = glasso._newton_steps
         monkeypatch.setattr(glasso, "_newton_steps", recorded)
-        glasso_solve(s, GlassoConfig(lam=0.1))
-        assert [np.diag(q).tolist() for q in starts] == [[1.0, 1.0], [0.01, 0.01]]
+        cfg = GlassoConfig(lam=1e-9)
+        glasso_solve(s, cfg)
+        floor = mle.RIDGE_EPS * float(np.mean(np.diag(s)))
+        assert [np.diag(q).tolist() for q in starts] == [[1 / floor, 1 / floor], [1e-3, 1e-3]]
         starts.clear()
         warm = SparseSpd(np.linalg.inv(s + np.ones((4, 4))), SupportPattern.full(4))
-        glasso_solve(s, GlassoConfig(lam=0.1), q0=warm)
+        glasso_solve(s, cfg, q0=warm)
         assert np.array_equal(starts[0], warm.dense[np.ix_([0, 2], [0, 2])])
         assert np.array_equal(starts[1], warm.dense[np.ix_([1, 3], [1, 3])])

@@ -408,7 +408,7 @@ def test_atomic_write_into_missing_directory_names_the_target(tmp_path):
 
 class TestBlocks:
     def test_components_then_isolated_nodes(self):
-        rows, cols = np.array([5, 0, 2, 6, 2]), np.array([7, 3, 2, 7, 2])
+        rows, cols = np.array([0, 2, 5, 6]), np.array([3, 2, 7, 7])
         comps, isolated = blocks(9, rows, cols)
         assert [c.tolist() for c in comps] == [[0, 3], [5, 6, 7]]
         assert isolated.tolist() == [1, 2, 4, 8]  # a self-loop leaves a node isolated
