@@ -150,6 +150,7 @@ class SparseSpd:
     The constructor checks the matrix (`check_symmetric`) and keeps its
     upper triangle mirrored, so the stored matrix is exactly symmetric even
     when the one given was only symmetric within rounding.
+
     The lower Cholesky factor L (Q = L L^T) and the log-determinant are
     computed once at construction; `quad_form` reuses L, so it costs one
     product with the n x n factor, O(n^2), per data point. The dense
