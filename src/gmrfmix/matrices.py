@@ -324,10 +324,11 @@ def blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list[np.ndarray]
     Returns the components of more than one node, in order of their
     smallest node, and the isolated nodes as one array; all ascending.
     """
-    # CSR straight from the sorted rows: half the time of a COO graph at n = 100
+    # CSR straight from the sorted rows: half the time of a COO graph at n = 100;
+    # float64 weights, which connected_components would otherwise convert to
     indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
     graph = scipy.sparse.csr_matrix(
-        (np.ones(len(cols), dtype=bool), np.asarray(cols, dtype=np.int32), indptr), shape=(n, n)
+        (np.ones(len(cols)), np.asarray(cols, dtype=np.int32), indptr), shape=(n, n)
     )
     _, labels = connected_components(graph, directed=False)
     sizes = np.bincount(labels)

@@ -54,8 +54,9 @@ MAX_BACKTRACKS = 40
 # gets the explicit |P| x |P| matrix (hessian_matrix) while |P|^2 is at most
 # this many entries (8 MB of float64), and a product form above it, which
 # holds no |P|^2 array (at |P| = 8749, n = 1024, the matrix would be 612 MB).
-# A 20-sweep glasso direction at n = 256 took 29 ms with the matrix against
-# 46 ms with U = Delta W at |F| = 736, and 74 against 52 ms at |F| = 1448.
+# A 20-sweep glasso direction at n = 256 (one BLAS thread) took 12-13 ms with
+# the matrix against 28-31 ms with U = Delta W at |F| = 736, and 46-50 against
+# 46-51 ms at |F| = 1448 (the lattice pattern plus 712 random pairs).
 HESSIAN_ELEMS = 1 << 20
 # elements of W gathered per block by the sparse operator: 512 KB of float64
 # (1 MB blocks made an apply 3x slower at n = 256)

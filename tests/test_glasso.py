@@ -162,6 +162,65 @@ def test_explicit_and_product_loops_agree(monkeypatch, seed, penalize_diagonal):
     np.testing.assert_allclose(explicit, product, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(product))))
 
 
+def reference_explicit_sweeps(h, coords):
+    """The explicit-matrix loop written plainly: ndarray.dot and `glasso._lasso_step`."""
+    x = np.zeros(len(coords))
+    steps = x.tolist()
+    for sweeps in range(1, glasso.LASSO_INNER_ITERS + 1):
+        max_change = 0.0
+        for k, (g_k, a_k, t_k, q_k) in enumerate(coords):
+            mu = glasso._lasso_step(g_k + float(h[k].dot(x)), a_k, q_k + steps[k], t_k)
+            if mu != 0.0:
+                steps[k] += mu
+                x[k] = steps[k]
+            max_change = max(max_change, abs(mu))
+        if max_change <= glasso.SUB_TOL:
+            break
+    return x, sweeps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.6),
+    st.booleans(),
+    st.integers(1, 30),
+    st.sampled_from([0.0, 1e-8, 1e-6, 1e-3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_explicit_loop_equals_the_plain_loop_exactly(
+    n, q_fill, free_fill, lam, penalize_diagonal, cap, tol, seed
+):
+    """`_explicit_sweeps` returns the plain loop's direction bit for bit, with
+    its sweep count, on the Newton matrix and coordinates that
+    `lasso_newton_direction` builds: sparse SPD Q (free pairs at 0 and of
+    either sign, so steps cross signs), the unpenalized or penalized
+    diagonal, and sweep caps and tolerances under which runs stop by
+    SUB_TOL or at LASSO_INNER_ITERS."""
+    rng = np.random.default_rng(seed)
+    q = random_sparse_spd(n, rng, fill=q_fill)
+    s = random_cov(n, rng, n_samples=int(rng.integers(n, 4 * n + 1)))
+    free = SupportPattern.from_mask(q.pattern.mask() | (rng.random((n, n)) < free_fill))
+    cfg = GlassoConfig(lam=lam, penalize_diagonal=penalize_diagonal)
+    seen = []
+    fast_loop = glasso._explicit_sweeps
+
+    def recorded(h, coords):
+        seen.append((h, coords))
+        return fast_loop(h, coords)
+
+    with mock.patch.object(glasso, "_explicit_sweeps", recorded), \
+            mock.patch.object(glasso, "LASSO_INNER_ITERS", cap), \
+            mock.patch.object(glasso, "SUB_TOL", tol):
+        fast, sweeps = lasso_newton_direction(q, s, free, cfg)
+        (h, coords), = seen
+        plain, plain_sweeps = reference_explicit_sweeps(h, coords)
+    assert np.array_equal(fast, plain)
+    assert sweeps == plain_sweeps
+
+
 def test_solve_sweeps_total_the_directions_sweeps(monkeypatch):
     ran = []
 
